@@ -22,10 +22,13 @@ type statsAccumulator struct {
 	cols []ColumnStats
 }
 
+// newStatsAccumulator continues prior's ranges on a private copy: the
+// cluster's TableStats readers do not wait for a Load, so a published
+// slice is never written again.
 func newStatsAccumulator(s *schema.Schema, prior []ColumnStats) *statsAccumulator {
-	cols := prior
-	if len(cols) != s.NumColumns() {
-		cols = make([]ColumnStats, s.NumColumns())
+	cols := make([]ColumnStats, s.NumColumns())
+	if len(prior) == len(cols) {
+		copy(cols, prior)
 	}
 	return &statsAccumulator{s: s, cols: cols}
 }
@@ -78,8 +81,8 @@ func (e *Engine) TableStats(name string) ([]ColumnStats, bool) {
 // TableStats reports the per-column ranges observed while name loaded
 // across all partitions (and replicas, which hold the same rows).
 func (c *Cluster) TableStats(name string) ([]ColumnStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.catMu.RLock()
+	defer c.catMu.RUnlock()
 	cols, ok := c.stats[name]
 	if !ok {
 		return nil, false

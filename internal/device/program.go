@@ -34,6 +34,11 @@ func RefOf(f *heap.File) TableRef {
 	}
 }
 
+// maxTuples bounds the table's row count by its extent: every page full.
+func (t TableRef) maxTuples() int64 {
+	return t.Pages * int64(page.Capacity(t.Schema, t.Layout))
+}
+
 // JoinSpec asks the program to build a hash table over Build and probe
 // it with each scanned tuple — the paper's simple hash join, with the
 // build side small enough for device DRAM (Figures 4 and 6).
@@ -108,8 +113,7 @@ func (q Query) validate() error {
 func (q Query) memoryEstimate(c CostModel) int64 {
 	var need int64 = DefaultChunkBytes * 2 // double-buffered result staging
 	if q.Join != nil {
-		buildTuples := q.Join.Build.Pages * int64(page.Capacity(q.Join.Build.Schema, q.Join.Build.Layout))
-		need += buildTuples * (int64(q.Join.Build.Schema.TupleWidth()) + c.HashEntryBytes)
+		need += q.Join.Build.maxTuples() * (int64(q.Join.Build.Schema.TupleWidth()) + c.HashEntryBytes)
 	}
 	return need
 }
@@ -455,8 +459,19 @@ func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, tun 
 	var arena schema.TupleArena
 	np := q.Table.Schema.NumColumns()
 	if q.Join != nil {
-		ht = make(map[int64][]schema.Tuple)
 		b := q.Join.Build
+		// The extent bounds the build side's cardinality: size the table
+		// and the arena slabs once instead of walking their doubling
+		// ladders on every run (wall clock only; nothing is charged).
+		n := int(b.maxTuples())
+		ht = make(map[int64][]schema.Tuple, n)
+		charBytes := 0
+		for _, col := range b.Schema.Columns() {
+			if col.Kind == schema.Char {
+				charBytes += col.Len
+			}
+		}
+		arena.Reserve(n*b.Schema.NumColumns(), n*charBytes)
 		keyAccess := cost.valueCycles(b.Layout)
 		r := page.ReaderFor(b.Schema)
 		for p := int64(0); p < b.Pages; p++ {

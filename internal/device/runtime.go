@@ -68,8 +68,7 @@ type Runtime struct {
 	chunkBytes int64
 	next       SessionID
 	sessions   map[SessionID]*session
-	closed     map[SessionID]bool // tombstones: ids that were opened and closed
-	granted    int64              // DRAM bytes granted to live sessions
+	granted    int64 // DRAM bytes granted to live sessions
 	phases     PhaseStats
 	rec        *trace.Recorder // nil unless SetRecorder installed one
 	scalarExec bool            // force the scalar per-tuple program loop
@@ -114,7 +113,6 @@ func NewRuntime(dev *ssd.Device, c CostModel) *Runtime {
 		cost:       c,
 		chunkBytes: DefaultChunkBytes,
 		sessions:   make(map[SessionID]*session),
-		closed:     make(map[SessionID]bool),
 		phases:     newPhaseStats(),
 		kernels:    make(map[string]*expr.BatchExpr),
 	}
@@ -226,10 +224,7 @@ type GetResult struct {
 func (r *Runtime) Get(id SessionID) (GetResult, error) {
 	s, ok := r.sessions[id]
 	if !ok {
-		if r.closed[id] {
-			return GetResult{}, fmt.Errorf("%w: %d", ErrClosed, id)
-		}
-		return GetResult{}, fmt.Errorf("%w: %d", ErrUnknownSession, id)
+		return GetResult{}, r.missing(id)
 	}
 	if s.state == stateAborted {
 		return GetResult{}, fmt.Errorf("%w: %d", ErrSessionAborted, id)
@@ -273,6 +268,16 @@ func (r *Runtime) Get(id SessionID) (GetResult, error) {
 	}, nil
 }
 
+// missing classifies an id absent from the session table. Ids are a
+// monotonic counter, so one at or below the last issued was opened and
+// has since been closed; anything else was never opened here.
+func (r *Runtime) missing(id SessionID) error {
+	if id > 0 && id <= r.next {
+		return fmt.Errorf("%w: %d", ErrClosed, id)
+	}
+	return fmt.Errorf("%w: %d", ErrUnknownSession, id)
+}
+
 // finishGet accounts one successful GET: its latency is the delivery
 // gap from the previous chunk's arrival to this one's.
 func (r *Runtime) finishGet(s *session, at time.Duration) {
@@ -295,10 +300,7 @@ func (r *Runtime) finishGet(s *session, at time.Duration) {
 func (r *Runtime) Close(id SessionID) error {
 	s, ok := r.sessions[id]
 	if !ok {
-		if r.closed[id] {
-			return fmt.Errorf("%w: %d", ErrClosed, id)
-		}
-		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
+		return r.missing(id)
 	}
 	observe(&r.phases.Close, 0)
 	if r.rec != nil {
@@ -307,7 +309,6 @@ func (r *Runtime) Close(id SessionID) error {
 	s.result = nil
 	r.granted -= s.grant
 	delete(r.sessions, id)
-	r.closed[id] = true
 	return nil
 }
 

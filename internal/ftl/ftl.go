@@ -67,8 +67,6 @@ func (c *Config) fill() {
 // LBA is a host logical block (page) address.
 type LBA int64
 
-const invalid = -1
-
 // Errors reported by FTL operations.
 var (
 	ErrLBAOutOfRange = errors.New("ftl: lba out of range")
@@ -84,8 +82,13 @@ type FTL struct {
 	cfg   Config
 
 	logicalPages int64
-	l2p          []nand.PPA // LBA -> PPA, invalid if unmapped
-	p2l          []LBA      // PPA -> LBA, invalid if free/stale
+	// The mapping tables store ppa+1 and lba+1, so zero — what make
+	// hands out — means unmapped (l2p) or free/stale (p2l): a fresh
+	// device never writes, and so never makes resident, the table tail no
+	// LBA has reached (7.9 MB per device at the default geometry). Only
+	// ppaOf, lbaOf, bind and unbind know the encoding.
+	l2p []nand.PPA // LBA -> PPA+1
+	p2l []LBA      // PPA -> LBA+1
 
 	validCount []int            // valid pages per block
 	freeBlocks [][]nand.BlockID // per channel
@@ -135,12 +138,6 @@ func New(array *nand.Array, cfg Config) (*FTL, error) {
 		freeBlocks:   make([][]nand.BlockID, geo.Channels),
 		active:       make([]nand.BlockID, geo.Channels),
 		frontier:     make([]int, geo.Channels),
-	}
-	for i := range f.l2p {
-		f.l2p[i] = invalid
-	}
-	for i := range f.p2l {
-		f.p2l[i] = invalid
 	}
 	// Distribute blocks to per-channel free lists, then open one active
 	// block per channel.
@@ -250,6 +247,15 @@ func (f *FTL) checkLBA(l LBA) error {
 	return nil
 }
 
+// ppaOf reports the physical page LBA l maps to, if any.
+func (f *FTL) ppaOf(l LBA) (nand.PPA, bool) { p := f.l2p[l]; return p - 1, p != 0 }
+
+// lbaOf reports the LBA whose valid data physical page p holds, if any.
+func (f *FTL) lbaOf(p nand.PPA) (LBA, bool) { l := f.p2l[p]; return l - 1, l != 0 }
+
+func (f *FTL) bind(l LBA, p nand.PPA)   { f.l2p[l], f.p2l[p] = p+1, l+1 }
+func (f *FTL) unbind(l LBA, p nand.PPA) { f.l2p[l], f.p2l[p] = 0, 0 }
+
 func (f *FTL) takeFree(ch int) (nand.BlockID, error) {
 	list := f.freeBlocks[ch]
 	if len(list) == 0 {
@@ -266,8 +272,7 @@ func (f *FTL) Lookup(l LBA) (nand.PPA, bool) {
 	if f.checkLBA(l) != nil {
 		return 0, false
 	}
-	p := f.l2p[l]
-	return p, p != invalid
+	return f.ppaOf(l)
 }
 
 // Read returns the current contents of LBA l. The slice aliases the
@@ -276,8 +281,8 @@ func (f *FTL) Read(l LBA) ([]byte, error) {
 	if err := f.checkLBA(l); err != nil {
 		return nil, err
 	}
-	p := f.l2p[l]
-	if p == invalid {
+	p, ok := f.ppaOf(l)
+	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnmapped, l)
 	}
 	f.hostReads++
@@ -329,8 +334,7 @@ func (f *FTL) Write(l LBA, data []byte) error {
 		return fmt.Errorf("ftl: program lba %d: %w", l, err)
 	}
 	f.invalidate(l)
-	f.l2p[l] = ppa
-	f.p2l[ppa] = l
+	f.bind(l, ppa)
 	f.validCount[f.geo.BlockOf(ppa)]++
 	f.hostWrites++
 	return nil
@@ -347,13 +351,12 @@ func (f *FTL) Trim(l LBA) error {
 }
 
 func (f *FTL) invalidate(l LBA) {
-	old := f.l2p[l]
-	if old == invalid {
+	old, ok := f.ppaOf(l)
+	if !ok {
 		return
 	}
 	f.validCount[f.geo.BlockOf(old)]--
-	f.p2l[old] = invalid
-	f.l2p[l] = invalid
+	f.unbind(l, old)
 }
 
 // programRetry programs data onto a freshly allocated page, remapping
@@ -458,8 +461,8 @@ func (f *FTL) collectChannel(ch int) (gained bool, err error) {
 	first := f.geo.FirstPage(victim)
 	for i := 0; i < f.geo.PagesPerBlock; i++ {
 		src := first + nand.PPA(i)
-		l := f.p2l[src]
-		if l == invalid {
+		l, ok := f.lbaOf(src)
+		if !ok {
 			continue
 		}
 		data, err := f.readPhysical(src)
@@ -471,9 +474,8 @@ func (f *FTL) collectChannel(ch int) (gained bool, err error) {
 			return gained, fmt.Errorf("ftl: gc relocate: %w", err)
 		}
 		f.validCount[f.geo.BlockOf(src)]--
-		f.p2l[src] = invalid
-		f.l2p[l] = dst
-		f.p2l[dst] = l
+		f.unbind(l, src)
+		f.bind(l, dst)
 		f.validCount[f.geo.BlockOf(dst)]++
 		f.gcWrites++
 	}
@@ -536,8 +538,8 @@ func (f *FTL) compactInPlace(ch int) error {
 	keep := make([]saved, 0, valid)
 	for i := 0; i < f.geo.PagesPerBlock; i++ {
 		src := first + nand.PPA(i)
-		l := f.p2l[src]
-		if l == invalid {
+		l, ok := f.lbaOf(src)
+		if !ok {
 			continue
 		}
 		data, err := f.readPhysical(src)
@@ -547,8 +549,7 @@ func (f *FTL) compactInPlace(ch int) error {
 		// Copy: erase below releases the array's page buffers.
 		keep = append(keep, saved{l, src, append([]byte(nil), data...)})
 		f.validCount[victim]--
-		f.p2l[src] = invalid
-		f.l2p[l] = invalid
+		f.unbind(l, src)
 	}
 	if err := f.array.Erase(victim); err != nil {
 		if errors.Is(err, nand.ErrEraseFail) {
@@ -556,8 +557,7 @@ func (f *FTL) compactInPlace(ch int) error {
 			// mappings, retire the block as grown-bad, and compact a
 			// different victim instead.
 			for _, s := range keep {
-				f.l2p[s.l] = s.src
-				f.p2l[s.src] = s.l
+				f.bind(s.l, s.src)
 				f.validCount[victim]++
 			}
 			f.badBlocks[victim] = true
@@ -584,8 +584,7 @@ func (f *FTL) compactInPlace(ch int) error {
 			}
 			f.remappedPrograms++
 		}
-		f.l2p[s.l] = dst
-		f.p2l[dst] = s.l
+		f.bind(s.l, dst)
 		f.validCount[victim]++
 		f.gcWrites++
 	}

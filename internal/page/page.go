@@ -78,7 +78,7 @@ const (
 	version = 1
 )
 
-// Errors reported by Validate and the Reader constructors.
+// Errors reported by the Reader constructors and Bind.
 var (
 	ErrBadMagic    = errors.New("page: bad magic")
 	ErrBadChecksum = errors.New("page: checksum mismatch")
@@ -88,6 +88,11 @@ var (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroCRC stands in for the checksum field when a page is verified. It
+// is package-level and never written: a local would escape through
+// crc32.Update and cost every Bind a heap allocation.
+var zeroCRC [4]byte
 
 // Capacity reports the number of fixed-width tuples of schema s that fit
 // in one page under the given layout. NSM pays a 2-byte slot per tuple;
@@ -242,7 +247,6 @@ func (r *Reader) Bind(buf []byte) error {
 	// CRC field zeroed, so feed the zeros from a scratch word instead of
 	// writing them into the page. Page buffers alias device storage that
 	// concurrent readers (engine clones) may share; Bind must not write.
-	var zeroCRC [4]byte
 	stored := binary.LittleEndian.Uint32(buf[offCRC:])
 	sum := crc32.Checksum(buf[:offCRC], crcTable)
 	sum = crc32.Update(sum, crcTable, zeroCRC[:])
@@ -466,17 +470,5 @@ func ReplaceTuple(s *schema.Schema, buf []byte, i int, tuple []byte) error {
 	binary.LittleEndian.PutUint32(buf[offCRC:], 0)
 	crc := crc32.Checksum(buf, crcTable)
 	binary.LittleEndian.PutUint32(buf[offCRC:], crc)
-	return nil
-}
-
-// Validate re-checks the page checksum, reporting any corruption.
-func (r *Reader) Validate() error {
-	stored := binary.LittleEndian.Uint32(r.buf[offCRC:])
-	binary.LittleEndian.PutUint32(r.buf[offCRC:], 0)
-	sum := crc32.Checksum(r.buf, crcTable)
-	binary.LittleEndian.PutUint32(r.buf[offCRC:], stored)
-	if sum != stored {
-		return fmt.Errorf("%w: stored %#x computed %#x", ErrBadChecksum, stored, sum)
-	}
 	return nil
 }

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -157,12 +158,12 @@ func TestValidateAfterBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("Validate on clean page: %v", err)
+	if err := r.Bind(buf); err != nil {
+		t.Fatalf("re-Bind of clean page: %v", err)
 	}
 	buf[PageSize-1] ^= 1
-	if err := r.Validate(); err == nil {
-		t.Fatal("Validate missed corruption")
+	if err := r.Bind(buf); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("re-Bind of corrupted page: %v, want ErrBadChecksum", err)
 	}
 }
 

@@ -134,52 +134,48 @@ type Txn struct {
 // ID reports the transaction id (also its WAL transaction id).
 func (t *Txn) ID() uint64 { return t.id }
 
-// committedPage returns a private copy of the committed bytes of page
-// idx: the staged copy if this transaction already rewrote it, else
-// the pool copy (caching a device read, as the host read path does),
-// else a device read.
-func (t *Txn) committedPage(tab Table, idx int64) ([]byte, error) {
-	if byIdx := t.staged[tab.Name]; byIdx != nil {
-		if data := byIdx[idx]; data != nil {
-			return data, nil
-		}
+// committedPage returns the committed bytes of page idx for reading
+// only: the staged copy if this transaction already rewrote it, else
+// the pool's frame (caching a device read, as the host read path
+// does), else the device's own buffer. Nothing is copied — callers
+// must not write through the result. When pinned is true the bytes are
+// a pool frame the caller must Unpin once it has finished reading.
+func (t *Txn) committedPage(tab Table, idx int64) (data []byte, pinned bool, err error) {
+	if data := t.staged[tab.Name][idx]; data != nil {
+		return data, false, nil
 	}
 	lba := tab.StartLBA + idx
-	if tab.Pool != nil {
-		data, hit := tab.Pool.Get(lba)
-		if !hit {
-			devData, _, err := tab.Dev.ReadPage(lba, 0)
-			if err != nil {
-				return nil, err
-			}
-			// Borrow the device's immutable page buffer: this is a
-			// clean cache fill, and a later commit publish replaces
-			// the borrowed reference with an owned dirty copy.
-			if err := tab.Pool.PutBorrowed(lba, devData); err != nil {
-				return nil, fmt.Errorf("txn: pool full: %w", err)
-			}
-			data, _ = tab.Pool.Get(lba)
-			// Drop the extra pin from Put; the Get pin remains.
-			if err := tab.Pool.Unpin(lba, false); err != nil {
-				return nil, err
-			}
+	if tab.Pool == nil {
+		data, _, err := tab.Dev.ReadPage(lba, 0)
+		return data, false, err
+	}
+	data, hit := tab.Pool.Get(lba)
+	if !hit {
+		devData, _, err := tab.Dev.ReadPage(lba, 0)
+		if err != nil {
+			return nil, false, err
 		}
-		out := append([]byte(nil), data...)
+		// Borrow the device's immutable page buffer: this is a
+		// clean cache fill, and a later commit publish replaces
+		// the borrowed reference with an owned dirty copy.
+		if err := tab.Pool.PutBorrowed(lba, devData); err != nil {
+			return nil, false, fmt.Errorf("txn: pool full: %w", err)
+		}
+		data, _ = tab.Pool.Get(lba)
+		// Drop the extra pin from Put; the Get pin remains.
 		if err := tab.Pool.Unpin(lba, false); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return out, nil
 	}
-	data, _, err := tab.Dev.ReadPage(lba, 0)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), data...), nil
+	return data, true, nil
 }
 
 // Update applies SET clauses to the rows of table matching filter,
 // staging the rebuilt pages privately. It reports the number of rows
 // updated. A nil filter updates every row.
+//
+// The scan reads committed pages where they live and copies nothing: a
+// page costs the transaction memory only once one of its rows matches.
 func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, error) {
 	if t.done {
 		return 0, ErrTxnDone
@@ -191,10 +187,9 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 	if len(sets) == 0 {
 		return 0, errors.New("txn: Update without SET clauses")
 	}
-	s := tab.Schema
 	setIdx := make([]int, len(sets))
 	for i, c := range sets {
-		idx := s.ColumnIndex(c.Column)
+		idx := tab.Schema.ColumnIndex(c.Column)
 		if idx < 0 {
 			return 0, fmt.Errorf("txn: Update: no column %q in %q", c.Column, table)
 		}
@@ -202,72 +197,85 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 	}
 
 	var updated int64
-	builder := page.NewBuilder(s, tab.Layout)
-	var tup schema.Tuple
-	var scratch []byte
+	r := page.ReaderFor(tab.Schema)
+	match := newPageFilter(tab, r, filter)
+	var builder *page.Builder
 	for idx := int64(0); idx < tab.Pages; idx++ {
-		data, err := t.committedPage(tab, idx)
+		data, pinned, err := t.committedPage(tab, idx)
 		if err != nil {
 			return updated, err
 		}
-		r, err := page.NewReader(s, data)
+		if err = r.Bind(data); err != nil {
+			err = fmt.Errorf("txn: Update: page %d: %w", idx, err)
+		} else if match.any() {
+			if builder == nil {
+				builder = page.NewBuilder(tab.Schema, tab.Layout)
+			}
+			var n int64
+			n, err = t.rewritePage(tab, idx, &match.row, builder, filter, sets, setIdx)
+			updated += n
+		}
+		if pinned {
+			if uerr := tab.Pool.Unpin(tab.StartLBA+idx, false); err == nil {
+				err = uerr
+			}
+		}
 		if err != nil {
-			return updated, fmt.Errorf("txn: Update: page %d: %w", idx, err)
+			return updated, err
 		}
-		// First pass: does anything on this page match?
-		match := false
-		for i := 0; i < r.Count() && !match; i++ {
-			if filter == nil || filter.Eval(pageRow{r, i}).Int != 0 {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-
-		// Rebuild the page with updated tuples.
-		builder.Reset(r.PageNo())
-		for i := 0; i < r.Count(); i++ {
-			tup = r.Tuple(tup, i)
-			if filter == nil || filter.Eval(pageRow{r, i}).Int != 0 {
-				// Evaluate all SET expressions against pre-update
-				// values before assigning any (SQL UPDATE semantics).
-				vals := make([]schema.Value, len(sets))
-				row := expr.TupleRow(tup)
-				for si, c := range sets {
-					vals[si] = c.E.Eval(row)
-				}
-				out := cloneRow(tup)
-				for si, ci := range setIdx {
-					out[ci] = vals[si]
-				}
-				tup = out
-				updated++
-				if tab.Durable {
-					scratch = s.EncodeTuple(scratch[:0], tup)
-					t.records = append(t.records, wal.Record{
-						Txn:     t.id,
-						Type:    wal.RecUpdate,
-						Table:   tab.Name,
-						PageIdx: uint32(idx),
-						Slot:    uint16(i),
-						Tuple:   append([]byte(nil), scratch...),
-					})
-				}
-			}
-			if !builder.Append(tup) {
-				return updated, fmt.Errorf("txn: Update: rebuilt page %d overflowed", idx)
-			}
-		}
-		byIdx := t.staged[tab.Name]
-		if byIdx == nil {
-			byIdx = make(map[int64][]byte)
-			t.staged[tab.Name] = byIdx
-		}
-		staged := data // already a private copy
-		copy(staged, builder.Finish())
-		byIdx[idx] = staged
 	}
+	return updated, nil
+}
+
+// rewritePage rebuilds the page row.r is bound to with the SET clauses
+// applied to its matching rows, logs their after-images, and stages the
+// result as page idx of tab. It reports the number of rows updated.
+func (t *Txn) rewritePage(tab Table, idx int64, row *pageRow, builder *page.Builder,
+	filter expr.Expr, sets []SetClause, setIdx []int) (int64, error) {
+	r, s := row.r, tab.Schema
+	var updated int64
+	var tup schema.Tuple
+	var scratch []byte
+	builder.Reset(r.PageNo())
+	for i := 0; i < r.Count(); i++ {
+		tup = r.Tuple(tup, i)
+		if row.i = i; filter == nil || filter.Eval(row).Int != 0 {
+			// Evaluate all SET expressions against pre-update
+			// values before assigning any (SQL UPDATE semantics).
+			vals := make([]schema.Value, len(sets))
+			for si, c := range sets {
+				vals[si] = c.E.Eval(expr.TupleRow(tup))
+			}
+			out := cloneRow(tup)
+			for si, ci := range setIdx {
+				out[ci] = vals[si]
+			}
+			tup = out
+			updated++
+			if tab.Durable {
+				scratch = s.EncodeTuple(scratch[:0], tup)
+				t.records = append(t.records, wal.Record{
+					Txn:     t.id,
+					Type:    wal.RecUpdate,
+					Table:   tab.Name,
+					PageIdx: uint32(idx),
+					Slot:    uint16(i),
+					Tuple:   append([]byte(nil), scratch...),
+				})
+			}
+		}
+		if !builder.Append(tup) {
+			return updated, fmt.Errorf("txn: Update: rebuilt page %d overflowed", idx)
+		}
+	}
+	// The rebuilt image is the page's private copy; the committed bytes
+	// the reader is bound to are never written.
+	byIdx := t.staged[tab.Name]
+	if byIdx == nil {
+		byIdx = make(map[int64][]byte)
+		t.staged[tab.Name] = byIdx
+	}
+	byIdx[idx] = append([]byte(nil), builder.Finish()...)
 	return updated, nil
 }
 
@@ -442,13 +450,79 @@ func (m *Manager) abortAll(txs []*Txn) {
 	}
 }
 
-// pageRow adapts a tuple inside a bound page to expr.Row.
+// pageRow adapts a tuple inside a bound page to expr.Row. It is used by
+// pointer, one per scan, so the expr.Row conversion never allocates.
 type pageRow struct {
 	r *page.Reader
 	i int
 }
 
-func (p pageRow) Col(c int) schema.Value { return p.r.Column(p.i, c) }
+func (p *pageRow) Col(c int) schema.Value { return p.r.Column(p.i, c) }
+
+// pageFilter answers whether any row of the page its reader is bound to
+// satisfies a predicate: through the compiled batch kernel the scans
+// use when the predicate is in the batch compiler's class — the
+// referenced columns are decoded in bulk from the page, read-only —
+// and row by row otherwise.
+type pageFilter struct {
+	filter expr.Expr
+	row    pageRow
+	kernel *expr.BatchExpr // nil: evaluate filter row by row
+	batch  *schema.Batch
+	ident  []int32
+	cols   []int // the filter's columns; vectors are attached to batch
+}
+
+func newPageFilter(tab Table, r *page.Reader, filter expr.Expr) *pageFilter {
+	f := &pageFilter{filter: filter, row: pageRow{r: r}}
+	if filter == nil {
+		return f
+	}
+	var ok bool
+	if f.kernel, ok = expr.CompileBatch(filter); !ok {
+		return f
+	}
+	capacity := page.Capacity(tab.Schema, tab.Layout)
+	f.batch = schema.NewBatch(tab.Schema.NumColumns())
+	f.ident = make([]int32, capacity)
+	f.cols = expr.DistinctColumns(filter)
+	for _, c := range f.cols {
+		if tab.Schema.Column(c).Kind == schema.Char {
+			f.batch.SetBytesVec(c, make([][]byte, capacity))
+		} else {
+			f.batch.SetInt64Vec(c, make([]int64, capacity))
+		}
+	}
+	return f
+}
+
+// any reports whether any row of the bound page matches (a nil filter
+// matches every row).
+func (f *pageFilter) any() bool {
+	r := f.row.r
+	n := r.Count()
+	if f.kernel == nil {
+		for f.row.i = 0; f.row.i < n; f.row.i++ {
+			if f.filter == nil || f.filter.Eval(&f.row).Int != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	f.batch.SetLen(n)
+	for _, c := range f.cols {
+		if v := f.batch.Int64Vec(c); v != nil {
+			r.Int64ColumnInto(c, v)
+		} else {
+			r.BytesColumnInto(c, f.batch.BytesVec(c))
+		}
+	}
+	sel := f.ident[:n]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return len(f.kernel.Select(f.batch, sel)) > 0
+}
 
 func cloneRow(t schema.Tuple) schema.Tuple {
 	out := make(schema.Tuple, len(t))

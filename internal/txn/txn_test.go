@@ -1,11 +1,14 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"smartssd/internal/bufpool"
 	"smartssd/internal/expr"
 	"smartssd/internal/page"
 	"smartssd/internal/schema"
@@ -348,5 +351,99 @@ func TestUpdateValidation(t *testing.T) {
 	}
 	if _, err := tx.Commit(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// aliasDev hands out its own page buffers, as the simulated SSD does:
+// a reader that writes through one corrupts the device.
+type aliasDev struct{ *memDev }
+
+func (d aliasDev) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration, error) {
+	p, ok := d.pages[lba]
+	if !ok {
+		return nil, ready, fmt.Errorf("aliasdev: read unmapped page %d", lba)
+	}
+	return p, ready, nil
+}
+
+// TestUpdateCopiesOnlyMatchingPages pins the scan's contract: an update
+// whose predicate matches rows of one page out of N reads the other
+// N-1 where they live and stages exactly one private page; the device's
+// buffers are untouched until commit; the redo records and the staged
+// image are exactly the rebuilt page's; and what the scan allocates
+// does not grow with N. The pool variant runs through a 2-frame pool,
+// which the scan can only cross if it drops each page's pin.
+func TestUpdateCopiesOnlyMatchingPages(t *testing.T) {
+	perPage := page.Capacity(testSchema(), page.NSM)
+	id := expr.ColRef(testSchema(), "id")
+	filter := expr.And{Terms: []expr.Expr{
+		expr.Cmp{Op: expr.GE, L: id, R: expr.IntConst(int64(perPage + 3))},
+		expr.Cmp{Op: expr.LT, L: id, R: expr.IntConst(int64(perPage + 6))},
+	}}
+	// allocs builds an N-page table and reports what one Update of page 1
+	// allocates, after checking everything else about it.
+	allocs := func(t *testing.T, pages int, pooled bool) float64 {
+		f := newFixture(t, pages*perPage)
+		if f.tab.Pages != int64(pages) {
+			t.Fatalf("fixture has %d pages, want %d", f.tab.Pages, pages)
+		}
+		f.tab.Dev = aliasDev{f.dev}
+		if pooled {
+			f.tab.Pool = bufpool.New(2, nil)
+		}
+		before := make(map[int64][]byte)
+		for lba, p := range f.dev.pages {
+			before[lba] = append([]byte(nil), p...)
+		}
+
+		// The expected image and records, built independently.
+		var wantRecs []wal.Record
+		b := page.NewBuilder(f.s, page.NSM)
+		b.Reset(1)
+		for i := 0; i < perPage; i++ {
+			id := int64(perPage + i)
+			tup := schema.Tuple{schema.IntVal(id), schema.IntVal(id)}
+			if id >= int64(perPage+3) && id < int64(perPage+6) {
+				tup[1] = schema.IntVal(-1)
+				wantRecs = append(wantRecs, wal.Record{Txn: 1, Type: wal.RecUpdate, Table: "t",
+					PageIdx: 1, Slot: uint16(i), Tuple: f.s.EncodeTuple(nil, tup)})
+			}
+			b.Append(tup)
+		}
+		wantImage := append([]byte(nil), b.Finish()...)
+
+		tx := f.mgr.Begin()
+		n, err := tx.Update("t", filter, setVal(-1))
+		if err != nil || n != 3 {
+			t.Fatalf("Update = %d, %v; want 3 rows", n, err)
+		}
+		if staged := tx.staged["t"]; len(staged) != 1 || !bytes.Equal(staged[1], wantImage) {
+			t.Fatalf("staged %d pages; page 1 matches the rebuilt image: %v", len(staged), bytes.Equal(staged[1], wantImage))
+		}
+		if !reflect.DeepEqual(tx.records, wantRecs) {
+			t.Fatalf("redo records\n got %+v\nwant %+v", tx.records, wantRecs)
+		}
+		for lba, p := range f.dev.pages {
+			if !bytes.Equal(p, before[lba]) {
+				t.Fatalf("device page %d changed before commit", lba)
+			}
+		}
+		tx.Abort()
+
+		return testing.AllocsPerRun(5, func() {
+			tx := f.mgr.Begin()
+			if n, err := tx.Update("t", filter, setVal(-1)); err != nil || n != 3 {
+				t.Fatalf("Update = %d, %v", n, err)
+			}
+			tx.Abort()
+		})
+	}
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			small, large := allocs(t, 4, pooled), allocs(t, 32, pooled)
+			if large > small {
+				t.Fatalf("allocations grow with the table: %v for 4 pages, %v for 32", small, large)
+			}
+		})
 	}
 }
