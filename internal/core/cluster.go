@@ -30,16 +30,16 @@ import (
 // aggregates.
 //
 // Concurrency contract. A Cluster is safe for concurrent use and runs
-// are atomic: Run, RunRouted, Update, Explain, Recover, CreateTable,
-// Load, Replicate, SetReplication, and ResetTiming serialize on mu,
+// are atomic: Run, RunRouted, Update, Recover, CreateTable, Load,
+// Replicate, SetReplication, and ResetTiming serialize on mu,
 // exactly as if the calls had arrived in some serial order. A
 // simulated device is a single-timeline state machine (every
 // sim.Server mutates its clock and counters), so two runs never share
 // the cluster — but devices are independent of one another, and the
 // partitions of one run execute concurrently, one goroutine per device,
 // when no device can fault (see RunRouted). Catalog reads (Schema,
-// TableNames, TableStats, Replication) take only catMu and never wait
-// for a run. Callers that need parallel execution across sessions run
+// TableNames, TableStats, Replication, Explain) take only catMu and
+// never wait for a run. Callers that need parallel execution across sessions run
 // each session on its own Engine.Clone (see internal/serve); the
 // cluster is the shared, partitioned backend. Accessors that return
 // internal devices (Device) hand out live simulator state: do not
@@ -51,9 +51,10 @@ type Cluster struct {
 	// -race regression test pins this: see
 	// TestClusterConcurrentRunsAreSafe).
 	mu sync.Mutex
-	// catMu lets catalog readers (tables, replicas, replicaFiles, stats)
-	// skip mu. Writers hold mu and take catMu around the store alone, so
-	// it is a leaf lock; holders of mu read the catalog without it.
+	// catMu lets catalog readers (tables, replicas, replicaFiles, stats,
+	// and the files' page counts) skip mu. Writers hold mu and take
+	// catMu around the change alone, so it is a leaf lock; holders of mu
+	// read the catalog without it.
 	catMu sync.RWMutex
 
 	devices  []*ssd.Device
@@ -227,6 +228,9 @@ func (c *Cluster) CreateTable(name string, s *schema.Schema, l page.Layout, maxP
 func (c *Cluster) Load(name string, next func() (schema.Tuple, bool)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Appends move the files' page counts, which Explain reads.
+	c.catMu.Lock()
+	defer c.catMu.Unlock()
 	files, ok := c.tables[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoTable, name)
@@ -275,18 +279,11 @@ func (c *Cluster) Load(name string, next func() (schema.Tuple, bool)) error {
 			}
 		}
 	}
-	c.publishStats(name, acc.cols)
+	c.stats[name] = acc.cols
 	for _, d := range c.devices {
 		d.ResetTiming()
 	}
 	return nil
-}
-
-// publishStats installs name's column ranges. Caller holds c.mu.
-func (c *Cluster) publishStats(name string, cols []ColumnStats) {
-	c.catMu.Lock()
-	c.stats[name] = cols
-	c.catMu.Unlock()
 }
 
 // Replicate copies generated tuples to every partition in full — for
@@ -295,6 +292,8 @@ func (c *Cluster) publishStats(name string, cols []ColumnStats) {
 func (c *Cluster) Replicate(name string, gen func() func() (schema.Tuple, bool)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.catMu.Lock()
+	defer c.catMu.Unlock()
 	files, ok := c.tables[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoTable, name)
@@ -320,7 +319,7 @@ func (c *Cluster) Replicate(name string, gen func() func() (schema.Tuple, bool))
 			return err
 		}
 	}
-	c.publishStats(name, acc.cols)
+	c.stats[name] = acc.cols
 	for _, d := range c.devices {
 		d.ResetTiming()
 	}
@@ -452,8 +451,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 			return nil, fmt.Errorf("%w: %q", ErrNoTable, q.Join.BuildTable)
 		}
 	}
-	groupKinds, err := groupByKinds(q, files, buildFiles)
-	if err != nil {
+	if err := checkGroupBy(q, files, buildFiles); err != nil {
 		return nil, err
 	}
 
@@ -498,7 +496,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 		for p.dev < 0 && p.err == nil && p.tried < limit {
 			dev, f := p.devs[p.tried], p.copies[p.tried]
 			p.tried++
-			rows, end, err := c.runtimes[dev].RunQuery(lowerPartition(q, f, dev, buildFiles))
+			rows, end, err := c.runtimes[dev].RunPartial(lowerPartition(q, f, dev, buildFiles))
 			switch {
 			case err == nil:
 				p.dev, p.rows, p.end = dev, rows, end
@@ -584,12 +582,14 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 		}
 	}
 
-	switch {
-	case len(q.Aggs) > 0 && len(q.GroupBy) > 0:
-		res.Rows = mergeGroupedAggs(q.Aggs, len(q.GroupBy), groupKinds, partials)
-	case len(q.Aggs) > 0:
-		res.Rows = []schema.Tuple{mergeAggs(q.Aggs, partials)}
-	default:
+	if len(q.Aggs) > 0 {
+		var out *schema.Schema // types the group columns; nil when there are none
+		if len(q.GroupBy) > 0 {
+			out = lowerPartition(q, files[0], 0, buildFiles).OutputSchema()
+		}
+		res.Rows = mergeAggRows(q.Aggs, out, len(q.GroupBy), partials...)
+		sortGroups(res.Rows, out, len(q.GroupBy))
+	} else {
 		for _, p := range partials {
 			res.Rows = append(res.Rows, p...)
 		}
@@ -621,91 +621,41 @@ func lowerPartition(q ClusterQuery, f *heap.File, w int, buildFiles []*heap.File
 	return dq
 }
 
-// groupByKinds resolves the group-by columns' kinds against the
-// combined row (probe columns first, then the build table's), which
-// the grouped merge needs to compare key values.
-func groupByKinds(q ClusterQuery, files, buildFiles []*heap.File) ([]schema.Kind, error) {
-	if len(q.GroupBy) == 0 {
-		return nil, nil
+// checkGroupBy reports an error unless every group-by column lies in
+// the combined row (probe columns first, then the build table's).
+func checkGroupBy(q ClusterQuery, files, buildFiles []*heap.File) error {
+	n := files[0].Schema().NumColumns()
+	if buildFiles != nil {
+		n += buildFiles[0].Schema().NumColumns()
 	}
-	ps := files[0].Schema()
-	np := ps.NumColumns()
-	kinds := make([]schema.Kind, 0, len(q.GroupBy))
 	for _, g := range q.GroupBy {
-		switch {
-		case g >= 0 && g < np:
-			kinds = append(kinds, ps.Column(g).Kind)
-		case buildFiles != nil && g >= np && g-np < buildFiles[0].Schema().NumColumns():
-			kinds = append(kinds, buildFiles[0].Schema().Column(g-np).Kind)
-		default:
-			return nil, fmt.Errorf("core: group-by column %d out of the combined row", g)
+		if g < 0 || g >= n {
+			return fmt.Errorf("core: group-by column %d out of the combined row", g)
 		}
 	}
-	return kinds, nil
+	return nil
 }
 
-// mergeGroupedAggs combines each worker's partial groups into the
-// global grouped result: rows are keyed by their leading nGroup
-// columns (the [group values..., agg values...] device output
-// convention), partial groups with equal keys fold with the aggregate
-// semantics of mergeAggs, and the merged rows come out sorted by the
-// group-by values — a deterministic order independent of partition
-// count, routing, and failover. Groups only exist where a partition
-// matched rows, so Min/Max merge exactly here (no zero-row caveat).
-func mergeGroupedAggs(aggs []plan.AggSpec, nGroup int, kinds []schema.Kind, partials [][]schema.Tuple) []schema.Tuple {
-	var all []schema.Tuple
-	for _, rows := range partials {
-		all = append(all, rows...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
+// sortGroups orders merged group rows by their leading nGroup columns
+// (the group-by values, typed by out): a deterministic order
+// independent of partition count, routing, and failover.
+func sortGroups(rows []schema.Tuple, out *schema.Schema, nGroup int) {
+	sort.Slice(rows, func(i, j int) bool {
 		for g := 0; g < nGroup; g++ {
-			if cv := schema.Compare(kinds[g], all[i][g], all[j][g]); cv != 0 {
+			if cv := schema.Compare(out.Column(g).Kind, rows[i][g], rows[j][g]); cv != 0 {
 				return cv < 0
 			}
 		}
 		return false
 	})
-	var out []schema.Tuple
-	for _, row := range all {
-		if len(out) > 0 {
-			last := out[len(out)-1]
-			same := true
-			for g := 0; g < nGroup; g++ {
-				if schema.Compare(kinds[g], last[g], row[g]) != 0 {
-					same = false
-					break
-				}
-			}
-			if same {
-				for i, a := range aggs {
-					k := nGroup + i
-					switch a.Kind {
-					case plan.Sum, plan.Count:
-						last[k] = schema.IntVal(last[k].Int + row[k].Int)
-					case plan.Min:
-						if row[k].Int < last[k].Int {
-							last[k] = row[k]
-						}
-					case plan.Max:
-						if row[k].Int > last[k].Int {
-							last[k] = row[k]
-						}
-					}
-				}
-				continue
-			}
-		}
-		out = append(out, append(schema.Tuple(nil), row...))
-	}
-	return out
 }
 
 // Explain renders the cluster's execution plan for q — the partition
 // fan-out, one partition's in-device program, and the host-side merge —
 // without executing anything.
 func (c *Cluster) Explain(q ClusterQuery) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.catMu.RLock()
+	defer c.catMu.RUnlock()
 	files, ok := c.tables[q.Table]
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrNoTable, q.Table)
@@ -716,7 +666,7 @@ func (c *Cluster) Explain(q ClusterQuery) (string, error) {
 			return "", fmt.Errorf("%w: %q", ErrNoTable, q.Join.BuildTable)
 		}
 	}
-	if _, err := groupByKinds(q, files, buildFiles); err != nil {
+	if err := checkGroupBy(q, files, buildFiles); err != nil {
 		return "", err
 	}
 	out := fmt.Sprintf("cluster plan: %d partitions of %s, one in-device program each\n",
@@ -731,42 +681,4 @@ func (c *Cluster) Explain(q ClusterQuery) (string, error) {
 	}
 	out += "merge: " + merge + "\n"
 	return out, nil
-}
-
-// mergeAggs combines one scalar-aggregate row per worker into the
-// global row: sums and counts add, mins and maxes fold.
-//
-// Caveat: a partition whose scan matched nothing still contributes a
-// row of zeros (the scalar-aggregate-over-empty-input convention), so
-// Min/Max merges are only exact when every partition matched at least
-// one tuple; Sum and Count merge exactly always.
-func mergeAggs(aggs []plan.AggSpec, partials [][]schema.Tuple) schema.Tuple {
-	out := make(schema.Tuple, len(aggs))
-	first := true
-	for _, rows := range partials {
-		if len(rows) == 0 {
-			continue
-		}
-		row := rows[0]
-		for i, a := range aggs {
-			if first {
-				out[i] = schema.IntVal(row[i].Int)
-				continue
-			}
-			switch a.Kind {
-			case plan.Sum, plan.Count:
-				out[i] = schema.IntVal(out[i].Int + row[i].Int)
-			case plan.Min:
-				if row[i].Int < out[i].Int {
-					out[i] = row[i]
-				}
-			case plan.Max:
-				if row[i].Int > out[i].Int {
-					out[i] = row[i]
-				}
-			}
-		}
-		first = false
-	}
-	return out
 }

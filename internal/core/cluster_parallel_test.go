@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smartssd/internal/device"
@@ -181,7 +182,8 @@ func TestClusterParallelDriverMatchesInOrder(t *testing.T) {
 
 // TestClusterCatalogReadsDoNotWaitForARun parks a run inside its route
 // callback — it holds the run lock there — and reads the catalog from
-// another goroutine: every read must return while the run is parked.
+// another goroutine: every read, EXPLAIN included, must return while
+// the run is parked.
 func TestClusterCatalogReadsDoNotWaitForARun(t *testing.T) {
 	cl, q := concurrencyFixture(t, 3, 2)
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -208,6 +210,9 @@ func TestClusterCatalogReadsDoNotWaitForARun(t *testing.T) {
 	}
 	if k := cl.Replication(); k != 2 {
 		t.Errorf("Replication = %d, want 2", k)
+	}
+	if plan, err := cl.Explain(q); err != nil || !strings.Contains(plan, "3 partitions of lineitem") {
+		t.Errorf("Explain = %q, %v", plan, err)
 	}
 	close(release)
 	if err := <-runDone; err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -55,15 +56,18 @@ func sliceFeeder(rows []schema.Tuple) func() (schema.Tuple, bool) {
 // TestClusterPropertyMatchesSingleEngine is the seeded property test:
 // for random shard counts n in [1,8], replication k in [1,n], and random
 // Q6-style predicates (arriving as text through expr.ParsePredicate,
-// the same path the query service uses), the cluster's merged Sum/Count
-// aggregate equals a single engine's device run bit for bit — including
-// when the predicate matches nothing on some or all partitions. Routing
-// every partition to a random replica must not change the answer either,
-// since replicas hold identical data.
+// the same path the query service uses), the cluster's merged
+// Sum/Count/Min/Max aggregate equals a single engine's device run bit
+// for bit — including when the predicate matches nothing on some or
+// all partitions, which half the trials force with a price cut near
+// the top of the range. Routing every partition to a random replica
+// must not change the answer either, since replicas hold identical
+// data.
 func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	s := lineitemSchema()
-	for trial := 0; trial < 10; trial++ {
+	emptied := 0 // trials where some partitions matched nothing and some did
+	for trial := 0; trial < 12; trial++ {
 		n := 1 + rng.Intn(8)
 		k := 1 + rng.Intn(n)
 		rows := genLineitems(rng, 2000+rng.Intn(4000))
@@ -75,6 +79,9 @@ func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 			"l_shipdate >= DATE '%d-01-01' AND l_shipdate < DATE '%d-01-01'"+
 				" AND l_discount >= %d AND l_discount <= %d AND l_quantity < %d",
 			yr, yr+1, lo, hi, 10+rng.Intn(41))
+		if trial%2 == 1 {
+			src = fmt.Sprintf("l_extendedprice >= %d AND l_discount <= %d", 100900-rng.Intn(400), hi)
+		}
 		filter, err := expr.ParsePredicate(s, src)
 		if err != nil {
 			t.Fatalf("trial %d: ParsePredicate(%q): %v", trial, src, err)
@@ -83,9 +90,15 @@ func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		price := expr.ColRef(s, "l_extendedprice")
 		aggs := []plan.AggSpec{
 			{Kind: plan.Sum, E: revenue, Name: "revenue"},
 			{Kind: plan.Count, Name: "cnt"},
+			{Kind: plan.Min, E: price, Name: "lo"},
+			{Kind: plan.Max, E: revenue, Name: "hi"},
+		}
+		if matched := matchedPartitions(rows, filter, n); matched > 0 && matched < n {
+			emptied++
 		}
 
 		e, err := New(Config{SSD: smallSSD()})
@@ -145,6 +158,121 @@ func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 			t.Fatalf("trial %d: routing counted %d failovers", trial, routed.Failovers)
 		}
 	}
+	if emptied == 0 {
+		t.Fatal("no trial left some partitions empty and others not")
+	}
+}
+
+// matchedPartitions reports how many of the n round-robin partitions
+// of rows hold a row matching filter.
+func matchedPartitions(rows []schema.Tuple, filter expr.Expr, n int) int {
+	hit := make([]bool, n)
+	for i, r := range rows {
+		row := expr.TupleRow(r)
+		if filter.Eval(&row).Int != 0 {
+			hit[i%n] = true
+		}
+	}
+	matched := 0
+	for _, h := range hit {
+		if h {
+			matched++
+		}
+	}
+	return matched
+}
+
+// TestEmptySharesContributeNoMinMax is the regression test for scalar
+// MIN/MAX over a split scan: a cluster partition or hybrid side that
+// matches no rows still ships its scalar row of zeros, and that row
+// must not fold into the merge. Four rows in the table pass the
+// filter, and they leave shares empty on both paths.
+func TestEmptySharesContributeNoMinMax(t *testing.T) {
+	s := lineitemSchema()
+	rows := genLineitems(rand.New(rand.NewSource(1)), 4000)
+	filter, err := expr.ParsePredicate(s, "l_extendedprice >= 100820")
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := expr.ColRef(s, "l_extendedprice")
+	aggs := []plan.AggSpec{
+		{Kind: plan.Min, E: price, Name: "lo"},
+		{Kind: plan.Max, E: price, Name: "hi"},
+		{Kind: plan.Count, Name: "cnt"},
+	}
+	spec := QuerySpec{Table: "lineitem", Filter: filter, Aggs: aggs, EstSelectivity: 0.01}
+	e, err := New(Config{SSD: smallSSD()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateTable("lineitem", s, page.PAX, 512, OnSSD); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("lineitem", sliceFeeder(rows)); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(4, smallSSD(), device.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.CreateTable("lineitem", s, page.PAX, 512); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Load("lineitem", sliceFeeder(rows)); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []int64{math.MaxInt64, math.MinInt64, 0}
+	for _, r := range rows {
+		if p := r[1].Int; p >= 100820 {
+			want[0], want[1], want[2] = min(want[0], p), max(want[1], p), want[2]+1
+		}
+	}
+	if want[0] != 100828 || matchedPartitions(rows, filter, 4) == 4 {
+		t.Fatalf("fixture drifted: MIN %d over %d rows", want[0], want[2])
+	}
+	check := func(name string, got []schema.Tuple) {
+		t.Helper()
+		if len(got) != 1 {
+			t.Fatalf("%s: %d rows", name, len(got))
+		}
+		for c, w := range want {
+			if got[0][c].Int != w {
+				t.Fatalf("%s: %s = %d, want %d", name, aggs[c].Name, got[0][c].Int, w)
+			}
+		}
+	}
+	for _, mode := range []Mode{ForceDevice, ForceHost, ForceHybrid} {
+		res, err := e.Run(spec, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprint(mode), res.Rows)
+	}
+	res, err := cl.Run(ClusterQuery{Table: "lineitem", Filter: filter, Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cluster", res.Rows)
+
+	// Nothing matches anywhere: the merge is the single engine's row of
+	// zeros.
+	none, err := expr.ParsePredicate(s, "l_extendedprice < 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []int64{0, 0, 0}
+	res, err = cl.Run(ClusterQuery{Table: "lineitem", Filter: none, Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cluster, no match", res.Rows)
+	spec.Filter = none
+	hyb, err := e.Run(spec, ForceHybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("hybrid, no match", hyb.Rows)
 }
 
 // concurrencyFixture is a clean (fault-free) cluster for the race tests.

@@ -6,6 +6,7 @@ import (
 
 	"smartssd/internal/device"
 	"smartssd/internal/exec"
+	"smartssd/internal/expr"
 	"smartssd/internal/opt"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
@@ -66,7 +67,7 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	// Device side: the leading page range.
 	dq.Table.Pages = devPages
 	win := e.faultWindow()
-	devRows, devEnd, err := e.runtime.RunQuery(dq)
+	devRows, devEnd, err := e.runtime.RunPartial(dq)
 	if err != nil {
 		// A device fault on the split's device half degrades the whole
 		// query to the pure host path rather than losing its partition.
@@ -97,6 +98,9 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid host side: %w", err)
 	}
+	if len(spec.Aggs) > 0 && len(spec.GroupBy) == 0 && ctx.Stats.Folded == 0 {
+		hostRows = nil // a scalar aggregate over no rows has nothing to merge
+	}
 
 	res := &Result{
 		Schema:    dq.OutputSchema(),
@@ -110,9 +114,10 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	if hostEnd > res.Elapsed {
 		res.Elapsed = hostEnd
 	}
-	res.Rows, err = mergePartials(spec, res.Schema, devRows, hostRows)
-	if err != nil {
-		return nil, err
+	if len(spec.Aggs) > 0 {
+		res.Rows = mergeAggRows(spec.Aggs, res.Schema, len(spec.GroupBy), devRows, hostRows)
+	} else {
+		res.Rows = append(devRows, hostRows...)
 	}
 	e.finishMetrics(res, t)
 	res.Faults.DeviceAttempts = 1
@@ -120,58 +125,37 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	return res, nil
 }
 
-// mergePartials combines device and host partial results: aggregates
-// fold algebraically (per group when grouping), projections concatenate.
-//
-// Caveat shared with any partial-aggregation scheme: a side whose scan
-// matched no rows still reports a scalar zero row, which a MIN/MAX
-// merge cannot distinguish from a real zero; SUM and COUNT merge
-// exactly. Grouped aggregation is unaffected (empty sides contribute no
-// groups).
-func mergePartials(spec QuerySpec, out *schema.Schema, a, b []schema.Tuple) ([]schema.Tuple, error) {
-	if len(spec.Aggs) == 0 {
-		return append(a, b...), nil
+// mergeAggRows folds partial aggregate rows — group values, then
+// aggregate values, under schema out (nil without group columns) —
+// into one row per group, in first-seen order: partial sums and counts
+// add, mins and maxes fold.
+// A scalar aggregate merges to exactly one row, zeros when no partial
+// has one; a share that matched no rows must contribute none (see
+// device.Runtime.RunPartial).
+func mergeAggRows(aggs []plan.AggSpec, out *schema.Schema, nGroup int, partials ...[]schema.Tuple) []schema.Tuple {
+	groupBy := make([]int, nGroup)
+	for i := range groupBy {
+		groupBy[i] = i
 	}
-	ng := len(spec.GroupBy)
-	groups := map[string]schema.Tuple{}
-	var order []string
-	var keyBuf []byte
-	fold := func(rows []schema.Tuple) {
+	g := plan.NewGroups(plan.PartialAggs(aggs), out, groupBy)
+	var row expr.TupleRow
+	for _, rows := range partials {
 		for _, r := range rows {
-			keyBuf = keyBuf[:0]
-			for g := 0; g < ng; g++ {
-				keyBuf = out.EncodeValue(keyBuf, g, r[g])
-			}
-			st, ok := groups[string(keyBuf)]
-			if !ok {
-				groups[string(keyBuf)] = cloneRow(r)
-				order = append(order, string(keyBuf))
-				continue
-			}
-			for i, agg := range spec.Aggs {
-				c := ng + i
-				switch agg.Kind {
-				case plan.Sum, plan.Count:
-					st[c] = schema.IntVal(st[c].Int + r[c].Int)
-				case plan.Min:
-					if r[c].Int < st[c].Int {
-						st[c] = r[c]
-					}
-				case plan.Max:
-					if r[c].Int > st[c].Int {
-						st[c] = r[c]
-					}
-				}
+			row = expr.TupleRow(r)
+			id := g.GroupRow(&row)
+			for i := range aggs {
+				g.FoldValue(id, i, r[nGroup+i].Int)
 			}
 		}
 	}
-	fold(a)
-	fold(b)
-	outRows := make([]schema.Tuple, 0, len(order))
-	for _, k := range order {
-		outRows = append(outRows, groups[k])
+	w := g.Width()
+	vals := make([]schema.Value, g.Rows()*w)
+	merged := make([]schema.Tuple, g.Rows())
+	for i := range merged {
+		merged[i] = vals[i*w : (i+1)*w : (i+1)*w]
+		g.Row(i, merged[i])
 	}
-	return outRows, nil
+	return merged
 }
 
 // setScanRange finds the TableScan over the named file in an operator
@@ -186,17 +170,4 @@ func setScanRange(op exec.Operator, file string, from, count int64) {
 	for _, c := range op.Children() {
 		setScanRange(c, file, from, count)
 	}
-}
-
-// cloneRow deep-copies a tuple, including Char bytes that alias a page
-// buffer.
-func cloneRow(t schema.Tuple) schema.Tuple {
-	out := make(schema.Tuple, len(t))
-	for i, v := range t {
-		if v.Bytes != nil {
-			v.Bytes = append([]byte(nil), v.Bytes...)
-		}
-		out[i] = v
-	}
-	return out
 }

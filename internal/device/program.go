@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"smartssd/internal/expr"
@@ -121,31 +122,9 @@ func (q Query) memoryEstimate(c CostModel) int64 {
 // OutputSchema reports the schema of the program's result rows.
 func (q Query) OutputSchema() *schema.Schema {
 	if len(q.Aggs) > 0 {
-		combined := q.combinedSchema()
-		cols := make([]schema.Column, 0, len(q.GroupBy)+len(q.Aggs))
-		for _, g := range q.GroupBy {
-			cols = append(cols, combined.Column(g))
-		}
-		for _, a := range q.Aggs {
-			cols = append(cols, schema.Column{Name: a.Name, Kind: schema.Int64})
-		}
-		return schema.New(cols...)
+		return plan.AggSchema(q.combinedSchema(), q.GroupBy, q.Aggs)
 	}
-	combined := q.combinedSchema()
-	cols := make([]schema.Column, len(q.Output))
-	for i, c := range q.Output {
-		k := c.E.Kind()
-		w := 0
-		if k == schema.Char {
-			if col, ok := c.E.(expr.Col); ok {
-				w = combined.Column(col.Index).Len
-			} else {
-				w = 32
-			}
-		}
-		cols[i] = schema.Column{Name: c.Name, Kind: k, Len: w}
-	}
-	return schema.New(cols...)
+	return plan.ProjectSchema(q.combinedSchema(), q.Output)
 }
 
 // combinedSchema reports the row layout expressions evaluate over:
@@ -154,23 +133,7 @@ func (q Query) combinedSchema() *schema.Schema {
 	if q.Join == nil {
 		return q.Table.Schema
 	}
-	n := q.Table.Schema.NumColumns() + q.Join.Build.Schema.NumColumns()
-	cols := make([]schema.Column, 0, n)
-	seen := map[string]bool{}
-	for i := 0; i < q.Table.Schema.NumColumns(); i++ {
-		c := q.Table.Schema.Column(i)
-		seen[c.Name] = true
-		cols = append(cols, c)
-	}
-	for i := 0; i < q.Join.Build.Schema.NumColumns(); i++ {
-		c := q.Join.Build.Schema.Column(i)
-		for seen[c.Name] {
-			c.Name += "_b"
-		}
-		seen[c.Name] = true
-		cols = append(cols, c)
-	}
-	return schema.New(cols...)
+	return schema.Concat(q.Table.Schema, q.Join.Build.Schema, "_b")
 }
 
 // Explain renders the in-device plan, Figure 4/6 style.
@@ -222,22 +185,81 @@ func (q Query) Explain() string {
 	return s
 }
 
+// usedColumns reports the combined-row columns the program reads
+// besides the join keys: filter, outputs, aggregates, and group keys.
+func (q Query) usedColumns() []int {
+	var cols []int
+	if q.Filter != nil {
+		cols = expr.AppendDistinctColumns(cols, q.Filter)
+	}
+	return distinct(append(cols, q.foldColumns()...))
+}
+
+// foldColumns reports the combined-row columns read to fold or project
+// a surviving row: the outputs, the aggregate inputs, and group keys.
+func (q Query) foldColumns() []int {
+	var cols []int
+	for _, c := range q.Output {
+		cols = expr.AppendDistinctColumns(cols, c.E)
+	}
+	for _, a := range q.Aggs {
+		if a.E != nil {
+			cols = expr.AppendDistinctColumns(cols, a.E)
+		}
+	}
+	return distinct(append(cols, q.GroupBy...))
+}
+
+// distinct drops repeats from cols in place, keeping first occurrences.
+func distinct(cols []int) []int {
+	out := cols[:0]
+	for _, c := range cols {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// buildTable is a join's build side in device DRAM: every build row
+// filed under its key in a KeyTable, duplicate keys chained in
+// insertion order, and the build columns the program reads, decoded
+// column by column into a batch indexed by build row. CHAR values
+// alias the device's page buffers, which nothing writes during a run.
+type buildTable struct {
+	keys schema.KeyTable
+	cols *schema.Batch
+}
+
+// keyColumn decodes join-key column col of the bound page into dst.
+// Keys are numeric values: a CHAR key has none and reads as zero, as
+// Value.Int does on the per-row path.
+func keyColumn(r *page.Reader, col int, dst []int64) []int64 {
+	if r.Schema().Column(col).Kind != schema.Char {
+		return r.Int64ColumnInto(col, dst)
+	}
+	dst = slices.Grow(dst[:0], r.Count())[:r.Count()]
+	clear(dst)
+	return dst
+}
+
 // joinedRow adapts a scanned tuple (inside a bound page) plus an
-// optional matched build tuple to expr.Row under the combined schema.
+// optional matched build row to expr.Row under the combined schema.
 // It is passed by pointer so the expr.Row conversion never
 // heap-allocates per tuple.
 type joinedRow struct {
-	r     *page.Reader
-	i     int
-	np    int // number of probe (scanned) columns
-	build schema.Tuple
+	r  *page.Reader
+	i  int
+	np int // number of probe (scanned) columns
+	b  *buildTable
+	br int32 // the matched build row
 }
 
 func (j *joinedRow) Col(c int) schema.Value {
 	if c < j.np {
 		return j.r.Column(j.i, c)
 	}
-	return j.build[c-j.np]
+	return j.b.cols.Value(c-j.np, int(j.br))
 }
 
 // chunk is one GET-retrievable result piece.
@@ -251,10 +273,9 @@ type chunk struct {
 type result struct {
 	chunks []chunk
 	end    time.Duration
-	// stats
-	buildRows int64
-	probeRows int64
-	outRows   int64
+	// matched counts the rows that passed the probe and filter: folded
+	// into the aggregates, or projected and staged.
+	matched int64
 }
 
 // stager accumulates result rows and ships chunks over the host link as
@@ -299,147 +320,222 @@ type progTuning struct {
 	kernels map[string]*expr.BatchExpr
 }
 
-// compileCached compiles e for vectorized evaluation through the
-// runtime's kernel cache, probing by canonical key so a long-lived
-// runtime compiles each distinct expression once.
-func compileCached(cache map[string]*expr.BatchExpr, e expr.Expr) (*expr.BatchExpr, bool) {
-	if cache == nil {
-		return expr.CompileBatch(e)
-	}
-	key, ok := expr.BatchKey(e)
-	if !ok {
-		return nil, false
-	}
-	if be := cache[key]; be != nil {
-		return be, true
-	}
-	be, ok := expr.CompileBatch(e)
-	if !ok {
-		return nil, false
-	}
-	cache[key] = be
-	return be, true
-}
-
-// vecProg is the vectorized form of a no-join device scan: compiled
+// vecProg is the vectorized form of a device scan: compiled
 // filter/aggregate/output kernels plus the columnar batch their decoded
 // column vectors live in, carved once at page capacity and refilled in
-// place page after page. Charged cycles are computed closed-form from
-// the page's row count and the selection length — the per-page
-// DeviceCompute charge is an order-free sum, so the totals are
-// byte-identical to the scalar loop's.
+// place page after page. A join probes the page's whole key vector,
+// filters the rows that hit, and gathers the surviving (row, build row)
+// pairs, in row-then-chain order, into a batch over the combined row,
+// which the aggregate and output kernels then run over. The page's
+// cycles are computed closed-form from the row, pair and survivor
+// counts — the per-page DeviceCompute charge is an order-free sum, so
+// the totals are byte-identical to the per-row loop's.
 type vecProg struct {
-	filter   *expr.BatchExpr // nil when the query has no filter
-	aggK     []*expr.BatchExpr
-	outK     []*expr.BatchExpr
-	batch    *schema.Batch
-	ident    []int32
-	intCols  []int
-	intVecs  [][]int64
-	charCols []int
-	charVecs [][][]byte
-	vals     [][]int64  // agg kernel outputs, per spec
-	outI     [][]int64  // projection kernel outputs
-	outB     [][][]byte // CHAR projection kernel outputs
+	filter *expr.BatchExpr // nil when the query has no filter
+	aggK   []*expr.BatchExpr
+	outK   []*expr.BatchExpr
+	cols   *page.Columns // the scanned table's columns
+	outI   [][]int64     // projection kernel outputs
+	outB   [][][]byte    // CHAR projection kernel outputs
+
+	// Joins only.
+	probeKey  int
+	keys      []int64
+	heads     []int32 // first build row filed under row i's key
+	hits      []int32 // rows whose key is in the build table
+	pairRow   []int32
+	pairBuild []int32
+	pairs     *schema.Batch // the surviving pairs' combined rows
+	gather    []int         // combined columns gathered into pairs
+	gInts     [][]int64
+	gStrs     [][][]byte
+	pairSel   []int32
 }
 
-// newVecProg compiles the vectorized scan for a no-join query,
-// reporting false when any expression is outside the batch compiler's
-// class (the program then runs the scalar loop).
+// newVecProg compiles the vectorized scan, reporting false when any
+// expression is outside the batch compiler's class, or when a join's
+// filter reads build columns (the program then runs the per-row loop).
 func newVecProg(q Query, cache map[string]*expr.BatchExpr, arena *schema.TupleArena) (*vecProg, bool) {
 	v := &vecProg{}
-	var cols []int
+	np := q.Table.Schema.NumColumns()
+	var cols []int // the scanned table's columns to decode
 	if q.Filter != nil {
-		k, ok := compileCached(cache, q.Filter)
+		k, ok := expr.CompileCached(cache, q.Filter)
 		if !ok {
 			return nil, false
 		}
 		v.filter = k
 		cols = expr.AppendDistinctColumns(cols, q.Filter)
+		if q.Join != nil && slices.ContainsFunc(cols, func(c int) bool { return c >= np }) {
+			return nil, false
+		}
 	}
 	if len(q.Aggs) > 0 {
 		v.aggK = make([]*expr.BatchExpr, len(q.Aggs))
-		v.vals = make([][]int64, len(q.Aggs))
 		for i, a := range q.Aggs {
 			if a.E == nil {
 				continue
 			}
-			k, ok := compileCached(cache, a.E)
+			k, ok := expr.CompileCached(cache, a.E)
 			if !ok {
 				return nil, false
 			}
 			v.aggK[i] = k
-			cols = expr.AppendDistinctColumns(cols, a.E)
 		}
-		cols = append(cols, q.GroupBy...)
 	} else {
 		v.outK = make([]*expr.BatchExpr, len(q.Output))
 		v.outI = make([][]int64, len(q.Output))
 		v.outB = make([][][]byte, len(q.Output))
 		for i, c := range q.Output {
-			k, ok := compileCached(cache, c.E)
+			k, ok := expr.CompileCached(cache, c.E)
 			if !ok {
 				return nil, false
 			}
 			v.outK[i] = k
-			cols = expr.AppendDistinctColumns(cols, c.E)
 		}
 	}
-	// Global dedupe: AppendDistinctColumns only dedupes within one call.
-	seen := 0
-	for _, c := range cols {
-		dup := false
-		for i := 0; i < seen; i++ {
-			if cols[i] == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cols[seen] = c
-			seen++
+	fold := q.foldColumns()
+	for _, c := range fold {
+		if c < np {
+			cols = append(cols, c)
 		}
 	}
-	cols = cols[:seen]
-
-	capacity := page.Capacity(q.Table.Schema, q.Table.Layout)
-	v.batch = schema.NewBatch(q.Table.Schema.NumColumns())
-	v.ident = arena.Sel(capacity)
-	for _, c := range cols {
-		if q.Table.Schema.Column(c).Kind == schema.Char {
-			vec := arena.ByteVecs(capacity)
-			v.batch.SetBytesVec(c, vec)
-			v.charCols = append(v.charCols, c)
-			v.charVecs = append(v.charVecs, vec)
-		} else {
-			vec := arena.Ints(capacity)
-			v.batch.SetInt64Vec(c, vec)
-			v.intCols = append(v.intCols, c)
-			v.intVecs = append(v.intVecs, vec)
-		}
+	v.cols = page.NewColumns(q.Table.Schema, q.Table.Layout, cols, arena)
+	if q.Join != nil {
+		v.probeKey = q.Join.ProbeKey
+		v.heads = arena.Sel(page.Capacity(q.Table.Schema, q.Table.Layout))
+		v.pairs = schema.NewBatch(q.combinedSchema().NumColumns())
+		v.gather = fold
+		v.gInts = make([][]int64, len(fold))
+		v.gStrs = make([][][]byte, len(fold))
 	}
 	return v, true
 }
 
-// bind decodes the planned columns of the bound page into the batch's
-// vectors, in place, and refreshes the identity selection.
+// bind decodes the bound page and selects the rows passing the filter.
+// It is the no-join path; see probe for joins.
 func (v *vecProg) bind(r *page.Reader) []int32 {
-	n := r.Count()
-	v.batch.SetLen(n)
-	for k, c := range v.intCols {
-		r.Int64ColumnInto(c, v.intVecs[k])
-	}
-	for k, c := range v.charCols {
-		r.BytesColumnInto(c, v.charVecs[k])
-	}
-	sel := v.ident[:n]
-	for i := range sel {
-		sel[i] = int32(i)
-	}
+	sel := v.cols.Decode(r)
 	if v.filter != nil {
-		sel = v.filter.Select(v.batch, sel)
+		sel = v.filter.Select(v.cols.Batch, sel)
 	}
 	return sel
+}
+
+// probe runs the bound page's rows through the join: it probes the
+// whole key vector, filters the rows that hit, and gathers the
+// surviving pairs into the pairs batch. It reports how many pairs the
+// probe found (each is one filter evaluation on the per-row path) and
+// the selection over the pairs batch.
+func (v *vecProg) probe(r *page.Reader, bt *buildTable, np int) (int64, []int32) {
+	v.cols.Decode(r)
+	v.keys = keyColumn(r, v.probeKey, v.keys)
+	v.hits = v.hits[:0]
+	var pairs int64
+	for i, k := range v.keys {
+		h := bt.keys.Chain1(uint64(k))
+		if h < 0 {
+			continue
+		}
+		v.heads[i] = h
+		v.hits = append(v.hits, int32(i))
+		for ; h >= 0; h = bt.keys.Next(h) {
+			pairs++
+		}
+	}
+	sel := v.hits
+	if v.filter != nil {
+		sel = v.filter.Select(v.cols.Batch, sel)
+	}
+	v.pairRow, v.pairBuild = v.pairRow[:0], v.pairBuild[:0]
+	for _, i := range sel {
+		for h := v.heads[i]; h >= 0; h = bt.keys.Next(h) {
+			v.pairRow = append(v.pairRow, i)
+			v.pairBuild = append(v.pairBuild, h)
+		}
+	}
+	n := len(v.pairRow)
+	v.pairs.SetLen(n)
+	for k, c := range v.gather {
+		src, col, idx := v.cols.Batch, c, v.pairRow
+		if c >= np {
+			src, col, idx = bt.cols, c-np, v.pairBuild
+		}
+		if vec := src.Int64Vec(col); vec != nil {
+			v.gInts[k] = gatherInto(v.gInts[k], vec, idx)
+			v.pairs.SetInt64Vec(c, v.gInts[k])
+		} else {
+			v.gStrs[k] = gatherInto(v.gStrs[k], src.BytesVec(col), idx)
+			v.pairs.SetBytesVec(c, v.gStrs[k])
+		}
+	}
+	v.pairSel = slices.Grow(v.pairSel[:0], n)[:n]
+	for k := range v.pairSel {
+		v.pairSel[k] = int32(k)
+	}
+	return pairs, v.pairSel
+}
+
+// gatherInto sets dst to src[idx[0]], src[idx[1]], … in place.
+func gatherInto[T any](dst, src []T, idx []int32) []T {
+	dst = slices.Grow(dst[:0], len(idx))[:len(idx)]
+	for k, i := range idx {
+		dst[k] = src[i]
+	}
+	return dst
+}
+
+// stage projects the selected rows of b and stages them, ready at done.
+func (v *vecProg) stage(st *stager, b *schema.Batch, sel []int32, out schema.Tuple, done time.Duration) {
+	for i, kn := range v.outK {
+		if kn.Kind() == schema.Char {
+			v.outB[i] = kn.EvalBytes(b, sel, v.outB[i])
+		} else {
+			v.outI[i] = kn.EvalInt64(b, sel, v.outI[i])
+		}
+	}
+	for k := range sel {
+		for c, kn := range v.outK {
+			if kn.Kind() == schema.Char {
+				out[c] = schema.Value{Bytes: v.outB[c][k]}
+			} else {
+				out[c] = schema.Value{Int: v.outI[c][k]}
+			}
+		}
+		st.add(out, done)
+	}
+}
+
+// program is one run of a validated query inside the device.
+type program struct {
+	dev  *ssd.Device
+	cost CostModel
+	q    Query
+	np   int // scanned columns; build columns follow in the combined row
+	res  *result
+	st   *stager
+
+	build     *buildTable // nil without a join
+	buildDone time.Duration
+	groups    *plan.Groups // nil for a projection
+	vp        *vecProg     // nil on the per-row path
+
+	// Closed-form charges: filterCycles per filter evaluation,
+	// probeCycles per probed row, perRow per row that survives probe
+	// and filter (folded into the aggregates, its group hashed, or
+	// projected and staged).
+	filterCycles, probeCycles, perRow, emitRowCycles int64
+
+	outRow  schema.Tuple
+	row     joinedRow
+	pending []pendingRow
+}
+
+// pendingRow is a projected row the per-row loop stages once its
+// page's compute charge has completed.
+type pendingRow struct {
+	i  int
+	br int32
 }
 
 // runProgram executes a validated query inside the device: fetch pages
@@ -447,108 +543,152 @@ func (v *vecProg) bind(r *page.Reader) []int32 {
 // results. It returns the staged chunks and the completion time.
 func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, tun progTuning) (*result, error) {
 	outSchema := q.OutputSchema()
-	res := &result{}
-	st := &stager{dev: dev, rowBytes: int64(outSchema.TupleWidth()), limit: chunkBytes}
-
-	// Phase 1: build the join hash table from the build table, fetched
-	// over the internal path and inserted on the embedded CPU.
-	var ht map[int64][]schema.Tuple
-	var buildDone time.Duration
-	// Build tuples and group state live for the whole scan; an arena
-	// batches their backing allocations.
+	p := &program{
+		dev:  dev,
+		cost: cost,
+		q:    q,
+		np:   q.Table.Schema.NumColumns(),
+		res:  &result{},
+		st:   &stager{dev: dev, rowBytes: int64(outSchema.TupleWidth()), limit: chunkBytes},
+	}
+	p.chargeConstants()
+	// Column vectors live for the whole run; an arena carves them once.
 	var arena schema.TupleArena
-	np := q.Table.Schema.NumColumns()
+	// Phase 1: build the join hash table from the build table.
 	if q.Join != nil {
-		b := q.Join.Build
-		// The extent bounds the build side's cardinality: size the table
-		// and the arena slabs once instead of walking their doubling
-		// ladders on every run (wall clock only; nothing is charged).
-		n := int(b.maxTuples())
-		ht = make(map[int64][]schema.Tuple, n)
-		charBytes := 0
-		for _, col := range b.Schema.Columns() {
-			if col.Kind == schema.Char {
-				charBytes += col.Len
-			}
-		}
-		arena.Reserve(n*b.Schema.NumColumns(), n*charBytes)
-		keyAccess := cost.valueCycles(b.Layout)
-		r := page.ReaderFor(b.Schema)
-		for p := int64(0); p < b.Pages; p++ {
-			data, at, err := dev.FetchPage(b.StartLBA+p, 0)
-			if err != nil {
-				return nil, fmt.Errorf("build fetch: %w", err)
-			}
-			if err := r.Bind(data); err != nil {
-				return nil, fmt.Errorf("build page %d: %w", p, err)
-			}
-			n := int64(r.Count())
-			cycles := cost.PageCycles + n*(cost.TupleCycles+keyAccess+cost.HashBuildCycles)
-			done := dev.DeviceCompute(cycles, at)
-			if done > buildDone {
-				buildDone = done
-			}
-			var tup schema.Tuple
-			for i := 0; i < r.Count(); i++ {
-				tup = r.Tuple(tup, i)
-				key := tup[q.Join.BuildKey].Int
-				ht[key] = append(ht[key], arena.Clone(tup))
-				res.buildRows++
-			}
+		if err := p.loadBuild(&arena); err != nil {
+			return nil, err
 		}
 	}
-
+	if len(q.Aggs) > 0 {
+		p.groups = plan.NewGroups(q.Aggs, q.combinedSchema(), q.GroupBy)
+	}
+	if !tun.scalar {
+		p.vp, _ = newVecProg(q, tun.kernels, &arena)
+	}
+	p.outRow = make(schema.Tuple, len(q.Output))
+	p.row = joinedRow{np: p.np, b: p.build}
 	// Phase 2: scan the main table; per tuple: probe (if joining),
 	// residual filter, then output or aggregate.
-	filterCycles := cost.exprTupleCycles(q.Filter, q.Table.Layout)
-	probeAccess := cost.valueCycles(q.Table.Layout)
-	var outOps int64
-	var outCols int
-	for _, c := range q.Output {
-		outOps += int64(c.E.Ops())
-		outCols += len(expr.DistinctColumns(c.E))
+	scanEnd, err := p.scan()
+	if err != nil {
+		return nil, err
 	}
-	var aggOps int64
-	var aggCols int
+
+	// Final aggregate rows and result flush: one row per group in
+	// first-seen order, or exactly one scalar row (even over empty
+	// input).
+	if p.groups != nil {
+		aggRow := make(schema.Tuple, p.groups.Width())
+		for i := 0; i < p.groups.Rows(); i++ {
+			if done := dev.DeviceCompute(p.emitRowCycles, scanEnd); done > scanEnd {
+				scanEnd = done
+			}
+			p.groups.Row(i, aggRow)
+			p.st.add(aggRow, scanEnd)
+		}
+	}
+	p.st.ship(scanEnd)
+
+	p.res.chunks = p.st.out
+	p.res.end = max(scanEnd, p.st.lastShip)
+	return p.res, nil
+}
+
+func (p *program) chargeConstants() {
+	c, q := p.cost, p.q
+	valueCycles := c.valueCycles(q.Table.Layout)
+	p.filterCycles = c.exprTupleCycles(q.Filter, q.Table.Layout)
+	p.probeCycles = valueCycles + c.HashProbeCycles
+	p.emitRowCycles = c.ResultTupleCycles + p.st.rowBytes*c.ResultByteCycles
+	if len(q.Aggs) == 0 {
+		for _, o := range q.Output {
+			p.perRow += int64(o.E.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(o.E)))*valueCycles
+		}
+		p.perRow += p.emitRowCycles
+		return
+	}
 	for _, a := range q.Aggs {
 		if a.E != nil {
-			aggOps += int64(a.E.Ops())
-			aggCols += len(expr.DistinctColumns(a.E))
+			p.perRow += int64(a.E.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(a.E)))*valueCycles
 		}
 	}
-	valueCycles := cost.valueCycles(q.Table.Layout)
-	emitRowCycles := cost.ResultTupleCycles + st.rowBytes*cost.ResultByteCycles
-
-	// Aggregate state: one slot for scalar aggregation, a DRAM-resident
-	// group table when GroupBy is set.
-	aggVals := make([]int64, len(q.Aggs))
-	aggSeen := make([]bool, len(q.Aggs))
-	type groupState struct {
-		group schema.Tuple
-		vals  []int64
-		seen  []bool
-	}
-	var groups map[string]*groupState
-	var groupOrder []string
-	var states []groupState // chunked so *groupState pointers stay stable
-	newState := func() *groupState {
-		if len(states) == cap(states) {
-			states = make([]groupState, 0, max(64, 2*cap(states)))
-		}
-		states = append(states, groupState{
-			group: arena.Tuple(len(q.GroupBy)),
-			vals:  arena.Ints(len(q.Aggs)),
-			seen:  arena.Bools(len(q.Aggs)),
-		})
-		return &states[len(states)-1]
-	}
-	combined := q.combinedSchema()
-	var keyBuf []byte
+	p.perRow += int64(len(q.Aggs)) * c.AggCycles
 	if len(q.GroupBy) > 0 {
-		groups = make(map[string]*groupState)
+		// Hash the group key into the DRAM group table: one extra value
+		// access per group column plus a probe-priced lookup.
+		p.perRow += int64(len(q.GroupBy))*valueCycles + c.HashProbeCycles
 	}
+}
 
-	outRow := make(schema.Tuple, len(q.Output))
+// loadBuild reads the build table over the internal path into device
+// DRAM, charging the embedded CPU for every insert.
+func (p *program) loadBuild(arena *schema.TupleArena) error {
+	j := p.q.Join
+	b := j.Build
+	var read []int // build columns the program reads
+	for _, c := range p.q.usedColumns() {
+		if c >= p.np {
+			read = append(read, c-p.np)
+		}
+	}
+	pc := page.NewColumns(b.Schema, b.Layout, read, arena)
+	// The extent bounds the build side's cardinality: size the table
+	// and the column vectors once instead of walking their doubling
+	// ladders on every run (wall clock only; nothing is charged).
+	n := int(b.maxTuples())
+	bt := &buildTable{cols: schema.NewBatch(b.Schema.NumColumns())}
+	bt.keys.Reset(1)
+	bt.keys.Reserve(n)
+	ints := make([][]int64, b.Schema.NumColumns())
+	strs := make([][][]byte, b.Schema.NumColumns())
+	for _, c := range read {
+		if b.Schema.Column(c).Kind == schema.Char {
+			strs[c] = make([][]byte, 0, n)
+		} else {
+			ints[c] = make([]int64, 0, n)
+		}
+	}
+	keyAccess := p.cost.valueCycles(b.Layout)
+	r := page.ReaderFor(b.Schema)
+	var keys []int64
+	rows := 0
+	for pg := int64(0); pg < b.Pages; pg++ {
+		data, at, err := p.dev.FetchPage(b.StartLBA+pg, 0)
+		if err != nil {
+			return fmt.Errorf("build fetch: %w", err)
+		}
+		if err := r.Bind(data); err != nil {
+			return fmt.Errorf("build page %d: %w", pg, err)
+		}
+		n := int64(r.Count())
+		cycles := p.cost.PageCycles + n*(p.cost.TupleCycles+keyAccess+p.cost.HashBuildCycles)
+		if done := p.dev.DeviceCompute(cycles, at); done > p.buildDone {
+			p.buildDone = done
+		}
+		keys = keyColumn(r, j.BuildKey, keys)
+		for _, k := range keys {
+			bt.keys.AddRow1(uint64(k))
+		}
+		rows += len(keys)
+		pc.Decode(r)
+		for _, c := range read {
+			ints[c] = append(ints[c], pc.Batch.Int64Vec(c)...)
+			strs[c] = append(strs[c], pc.Batch.BytesVec(c)...)
+		}
+	}
+	for _, c := range read {
+		bt.cols.SetInt64Vec(c, ints[c])
+		bt.cols.SetBytesVec(c, strs[c])
+	}
+	bt.cols.SetLen(rows)
+	p.build = bt
+	return nil
+}
+
+// scan runs the scan phase and reports its completion.
+func (p *program) scan() (time.Duration, error) {
+	q := p.q
 	r := page.ReaderFor(q.Table.Schema)
 	var scanEnd time.Duration
 	// The program prefetches into a bounded DRAM window rather than
@@ -561,281 +701,114 @@ func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, tun 
 	// latency-bound; 32 pages (a 256 KB window) leaves ample slack.
 	const prefetchDepth = 32
 	var consumeRing [prefetchDepth]time.Duration
-	// Per-page scratch, reused across pages.
-	type pending struct {
-		i     int
-		build schema.Tuple
-	}
-	var emitted []pending
-	noBuild := []schema.Tuple{nil}
-	row := &joinedRow{np: np}
-	// Vectorized no-join scan: compiled kernels over columnar batches,
-	// with the page's whole charge computed closed-form from the row
-	// count and selection length. Falls back to the scalar loop when an
-	// expression is outside the batch compiler's class.
-	var vp *vecProg
-	if q.Join == nil && !tun.scalar {
-		vp, _ = newVecProg(q, tun.kernels, &arena)
-	}
-	// Joined scans keep the scalar per-row loop (the residual filter may
-	// reference build columns), but read the probe-key column in bulk.
-	var keyVec []int64
-	if q.Join != nil && !tun.scalar && q.Table.Schema.Column(q.Join.ProbeKey).Kind != schema.Char {
-		keyVec = arena.Ints(page.Capacity(q.Table.Schema, q.Table.Layout))
-	}
-	for p := int64(0); p < q.Table.Pages; p++ {
-		issue := consumeRing[p%prefetchDepth]
-		data, at, err := dev.FetchPage(q.Table.StartLBA+p, issue)
+	for pg := int64(0); pg < q.Table.Pages; pg++ {
+		issue := consumeRing[pg%prefetchDepth]
+		data, at, err := p.dev.FetchPage(q.Table.StartLBA+pg, issue)
 		if err != nil {
-			return nil, fmt.Errorf("scan fetch: %w", err)
+			return 0, fmt.Errorf("scan fetch: %w", err)
 		}
 		if err := r.Bind(data); err != nil {
-			return nil, fmt.Errorf("scan page %d: %w", p, err)
+			return 0, fmt.Errorf("scan page %d: %w", pg, err)
 		}
-		ready := at
-		if buildDone > ready {
-			ready = buildDone
+		ready := max(at, p.buildDone)
+		var done time.Duration
+		if p.vp != nil {
+			done = p.vecPage(r, ready)
+		} else {
+			done = p.rowPage(r, ready)
 		}
-
-		n := int64(r.Count())
-		if vp != nil {
-			sel := vp.bind(r)
-			res.probeRows += n
-			cycles := cost.PageCycles + n*cost.TupleCycles
-			if q.Filter != nil {
-				cycles += n * filterCycles
-			}
-			k := int64(len(sel))
-			if len(q.Aggs) > 0 {
-				per := aggOps*cost.OpCycles + int64(aggCols)*valueCycles +
-					int64(len(q.Aggs))*cost.AggCycles
-				if groups != nil {
-					per += int64(len(q.GroupBy))*valueCycles + cost.HashProbeCycles
-				}
-				cycles += k * per
-			} else {
-				cycles += k * (outOps*cost.OpCycles + int64(outCols)*valueCycles + emitRowCycles)
-			}
-			done := dev.DeviceCompute(cycles, ready)
-			consumeRing[p%prefetchDepth] = done
-			if done > scanEnd {
-				scanEnd = done
-			}
-			if len(q.Aggs) > 0 {
-				for i, kn := range vp.aggK {
-					if kn != nil {
-						vp.vals[i] = kn.EvalInt64(vp.batch, sel, vp.vals[i])
-					}
-				}
-				for pi, ri := range sel {
-					vals, seen := aggVals, aggSeen
-					if groups != nil {
-						keyBuf = keyBuf[:0]
-						for _, g := range q.GroupBy {
-							keyBuf = combined.EncodeValue(keyBuf, g, vp.batch.Value(g, int(ri)))
-						}
-						gs, ok := groups[string(keyBuf)]
-						if !ok {
-							gs = newState()
-							for gi, g := range q.GroupBy {
-								gv := vp.batch.Value(g, int(ri))
-								if gv.Bytes != nil {
-									gv.Bytes = arena.CloneBytes(gv.Bytes)
-								}
-								gs.group[gi] = gv
-							}
-							groups[string(keyBuf)] = gs
-							groupOrder = append(groupOrder, string(keyBuf))
-						}
-						vals, seen = gs.vals, gs.seen
-					}
-					for i, a := range q.Aggs {
-						switch a.Kind {
-						case plan.Count:
-							vals[i]++
-						case plan.Sum:
-							vals[i] += vp.vals[i][pi]
-						case plan.Min:
-							if v := vp.vals[i][pi]; !seen[i] || v < vals[i] {
-								vals[i] = v
-							}
-						case plan.Max:
-							if v := vp.vals[i][pi]; !seen[i] || v > vals[i] {
-								vals[i] = v
-							}
-						}
-						seen[i] = true
-					}
-					res.outRows++
-				}
-			} else {
-				// Projection is deferred past the page's compute charge,
-				// exactly like the scalar loop's pending-emit list.
-				for i, kn := range vp.outK {
-					if kn.Kind() == schema.Char {
-						vp.outB[i] = kn.EvalBytes(vp.batch, sel, vp.outB[i])
-					} else {
-						vp.outI[i] = kn.EvalInt64(vp.batch, sel, vp.outI[i])
-					}
-				}
-				for pi := range sel {
-					for c, kn := range vp.outK {
-						if kn.Kind() == schema.Char {
-							outRow[c] = schema.Value{Bytes: vp.outB[c][pi]}
-						} else {
-							outRow[c] = schema.Value{Int: vp.outI[c][pi]}
-						}
-					}
-					res.outRows++
-					st.add(outRow, done)
-				}
-			}
-			continue
-		}
-		var keys []int64
-		if keyVec != nil {
-			keys = r.Int64ColumnInto(q.Join.ProbeKey, keyVec)
-		}
-		cycles := cost.PageCycles + n*cost.TupleCycles
-		emitted = emitted[:0]
-
-		for i := 0; i < r.Count(); i++ {
-			res.probeRows++
-			var builds []schema.Tuple
-			if q.Join != nil {
-				// Probe first: the device program pipelines the hash
-				// probe with the residual predicate (Figure 4).
-				cycles += probeAccess + cost.HashProbeCycles
-				var key int64
-				if keys != nil {
-					key = keys[i]
-				} else {
-					key = r.Column(i, q.Join.ProbeKey).Int
-				}
-				builds = ht[key]
-				if len(builds) == 0 {
-					continue
-				}
-			} else {
-				builds = noBuild
-			}
-			for _, b := range builds {
-				row.r, row.i, row.build = r, i, b
-				if q.Filter != nil {
-					cycles += filterCycles
-					if q.Filter.Eval(row).Int == 0 {
-						continue
-					}
-				}
-				if len(q.Aggs) > 0 {
-					cycles += aggOps*cost.OpCycles + int64(aggCols)*valueCycles +
-						int64(len(q.Aggs))*cost.AggCycles
-					vals, seen := aggVals, aggSeen
-					if groups != nil {
-						// Hash the group key into the DRAM group table:
-						// one extra value access per group column plus a
-						// probe-priced lookup.
-						cycles += int64(len(q.GroupBy))*valueCycles + cost.HashProbeCycles
-						keyBuf = keyBuf[:0]
-						for _, g := range q.GroupBy {
-							keyBuf = combined.EncodeValue(keyBuf, g, row.Col(g))
-						}
-						gs, ok := groups[string(keyBuf)]
-						if !ok {
-							gs = newState()
-							for gi, g := range q.GroupBy {
-								v := row.Col(g)
-								if v.Bytes != nil {
-									v.Bytes = arena.CloneBytes(v.Bytes)
-								}
-								gs.group[gi] = v
-							}
-							groups[string(keyBuf)] = gs
-							groupOrder = append(groupOrder, string(keyBuf))
-						}
-						vals, seen = gs.vals, gs.seen
-					}
-					foldAggs(q.Aggs, row, vals, seen)
-					res.outRows++
-					continue
-				}
-				cycles += outOps*cost.OpCycles + int64(outCols)*valueCycles + emitRowCycles
-				emitted = append(emitted, pending{i: i, build: b})
-			}
-		}
-
-		done := dev.DeviceCompute(cycles, ready)
-		consumeRing[p%prefetchDepth] = done
-		if done > scanEnd {
-			scanEnd = done
-		}
-		for _, e := range emitted {
-			row.r, row.i, row.build = r, e.i, e.build
-			for c, oc := range q.Output {
-				outRow[c] = oc.E.Eval(row)
-			}
-			res.outRows++
-			st.add(outRow, done)
-		}
+		consumeRing[pg%prefetchDepth] = done
+		scanEnd = max(scanEnd, done)
 	}
-
-	// Final aggregate rows and result flush: one row per group in
-	// first-seen order, or exactly one scalar row (even over empty
-	// input).
-	switch {
-	case len(q.Aggs) > 0 && groups != nil:
-		aggRow := make(schema.Tuple, len(q.GroupBy)+len(q.Aggs))
-		for _, key := range groupOrder {
-			g := groups[key]
-			done := dev.DeviceCompute(emitRowCycles, scanEnd)
-			if done > scanEnd {
-				scanEnd = done
-			}
-			copy(aggRow, g.group)
-			for i, v := range g.vals {
-				aggRow[len(q.GroupBy)+i] = schema.IntVal(v)
-			}
-			st.add(aggRow, scanEnd)
-		}
-	case len(q.Aggs) > 0:
-		aggRow := make(schema.Tuple, len(q.Aggs))
-		for i := range q.Aggs {
-			aggRow[i] = schema.IntVal(aggVals[i])
-		}
-		done := dev.DeviceCompute(emitRowCycles, scanEnd)
-		if done > scanEnd {
-			scanEnd = done
-		}
-		st.add(aggRow, scanEnd)
-	}
-	st.ship(scanEnd)
-
-	res.chunks = st.out
-	res.end = scanEnd
-	if st.lastShip > res.end {
-		res.end = st.lastShip
-	}
-	return res, nil
+	return scanEnd, nil
 }
 
-func foldAggs(aggs []plan.AggSpec, row expr.Row, vals []int64, seen []bool) {
-	for i, a := range aggs {
-		switch a.Kind {
-		case plan.Count:
-			vals[i]++
-		case plan.Sum:
-			vals[i] += a.E.Eval(row).Int
-		case plan.Min:
-			v := a.E.Eval(row).Int
-			if !seen[i] || v < vals[i] {
-				vals[i] = v
-			}
-		case plan.Max:
-			v := a.E.Eval(row).Int
-			if !seen[i] || v > vals[i] {
-				vals[i] = v
+// pageCycles reports a page's charge: page setup and per-tuple
+// iteration, a probe per row when joining, filter evaluations, and
+// the work for each surviving row.
+func (p *program) pageCycles(rows, evaluated, survived int64) int64 {
+	cycles := p.cost.PageCycles + rows*p.cost.TupleCycles + survived*p.perRow
+	if p.build != nil {
+		cycles += rows * p.probeCycles
+	}
+	if p.q.Filter != nil {
+		cycles += evaluated * p.filterCycles
+	}
+	return cycles
+}
+
+// vecPage runs one bound page through the vectorized program and
+// reports when its compute completes.
+func (p *program) vecPage(r *page.Reader, ready time.Duration) time.Duration {
+	vp := p.vp
+	n := int64(r.Count())
+	b, evaluated := vp.cols.Batch, n
+	var sel []int32
+	if p.build != nil {
+		evaluated, sel = vp.probe(r, p.build, p.np)
+		b = vp.pairs
+	} else {
+		sel = vp.bind(r)
+	}
+	done := p.dev.DeviceCompute(p.pageCycles(n, evaluated, int64(len(sel))), ready)
+	p.res.matched += int64(len(sel))
+	if p.groups != nil {
+		p.groups.FoldBatch(b, sel, vp.aggK)
+	} else {
+		// Projection is staged past the page's compute charge, exactly
+		// like the per-row loop's pending rows.
+		vp.stage(p.st, b, sel, p.outRow, done)
+	}
+	return done
+}
+
+// rowPage runs one bound page through the per-row loop and reports
+// when its compute completes.
+func (p *program) rowPage(r *page.Reader, ready time.Duration) time.Duration {
+	q, bt, row := p.q, p.build, &p.row
+	n := r.Count()
+	row.r = r
+	p.pending = p.pending[:0]
+	var evaluated, survived int64
+	for i := 0; i < n; i++ {
+		row.i, row.br = i, -1
+		if bt != nil {
+			// Probe first: the device program pipelines the hash probe
+			// with the residual predicate (Figure 4).
+			if row.br = bt.keys.Chain1(uint64(r.Column(i, q.Join.ProbeKey).Int)); row.br < 0 {
+				continue
 			}
 		}
-		seen[i] = true
+		for {
+			pass := true
+			if q.Filter != nil {
+				evaluated++
+				pass = q.Filter.Eval(row).Int != 0
+			}
+			if pass {
+				survived++
+				if p.groups != nil {
+					p.groups.FoldRow(p.groups.GroupRow(row), row)
+				} else {
+					p.pending = append(p.pending, pendingRow{i: i, br: row.br})
+				}
+			}
+			if bt == nil {
+				break
+			}
+			if row.br = bt.keys.Next(row.br); row.br < 0 {
+				break
+			}
+		}
 	}
+	done := p.dev.DeviceCompute(p.pageCycles(int64(n), evaluated, survived), ready)
+	p.res.matched += survived
+	for _, e := range p.pending {
+		row.i, row.br = e.i, e.br
+		for c, oc := range q.Output {
+			p.outRow[c] = oc.E.Eval(row)
+		}
+		p.st.add(p.outRow, done)
+	}
+	return done
 }

@@ -323,9 +323,28 @@ func (r *Runtime) GrantedBytes() int64 { return r.granted }
 // uses: OPEN, drain with GET, CLOSE. It returns all result rows and the
 // virtual time the final byte reached the host.
 func (r *Runtime) RunQuery(q Query) ([]schema.Tuple, time.Duration, error) {
+	rows, end, _, err := r.run(q)
+	return rows, end, err
+}
+
+// RunPartial is RunQuery for one share of a split aggregation (a
+// cluster partition, the device half of a hybrid run): a scalar
+// aggregate whose program matched no row returns no row, so the merge
+// folds nothing in for it. The row is still computed, shipped and
+// charged exactly as under RunQuery.
+func (r *Runtime) RunPartial(q Query) ([]schema.Tuple, time.Duration, error) {
+	rows, end, matched, err := r.run(q)
+	if matched == 0 && len(q.Aggs) > 0 && len(q.GroupBy) == 0 {
+		rows = nil
+	}
+	return rows, end, err
+}
+
+// run is RunQuery, also reporting how many rows the program matched.
+func (r *Runtime) run(q Query) ([]schema.Tuple, time.Duration, int64, error) {
 	id, err := r.Open(q)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	defer r.Close(id)
 	var rows []schema.Tuple
@@ -333,14 +352,14 @@ func (r *Runtime) RunQuery(q Query) ([]schema.Tuple, time.Duration, error) {
 	for {
 		res, err := r.Get(id)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		rows = append(rows, res.Rows...)
 		if res.At > end {
 			end = res.At
 		}
 		if res.Done {
-			return rows, end, nil
+			return rows, end, r.sessions[id].result.matched, nil
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"smartssd/internal/expr"
+	"smartssd/internal/plan"
 	"smartssd/internal/schema"
 	"smartssd/internal/sim"
 )
@@ -83,18 +84,21 @@ type Stats struct {
 	RowsEmitted int64
 	HashBuilds  int64
 	HashProbes  int64
-	CPUCycles   int64
+	// Folded counts the rows folded into aggregates.
+	Folded    int64
+	CPUCycles int64
 }
 
-// Scratch holds per-engine reusable arenas for operator state that
-// lives exactly one run (hash-join build rows, aggregate group keys
-// and accumulators). An engine that runs many queries resets the
+// Scratch holds per-engine reusable memory for operator state that
+// lives exactly one run (the hash-join build side, the aggregate group
+// table). An engine that runs many queries resets the
 // scratch between runs instead of regrowing fresh arenas, so a reused
 // worker reaches steady-state zero allocation on these paths. Not safe
 // for concurrent use; each engine owns its own.
 type Scratch struct {
-	build schema.TupleArena
-	group schema.TupleArena
+	build  schema.TupleArena
+	join   hashTable
+	groups plan.Groups
 	// vec backs the vectorized path's column vectors and selection
 	// vectors, carved once per run and reused page to page.
 	vec schema.TupleArena
@@ -111,7 +115,6 @@ type Scratch struct {
 // run state beyond reusable scratch vectors.
 func (s *Scratch) Reset() {
 	s.build.Reset()
-	s.group.Reset()
 	s.vec.Reset()
 }
 
@@ -277,25 +280,4 @@ func ExplainTree(op Operator) string {
 	}
 	walk(op, 0)
 	return string(b)
-}
-
-// concatSchemas builds the output schema of a join: left columns then
-// right columns, with duplicate names disambiguated by suffix.
-func concatSchemas(l, r *schema.Schema) *schema.Schema {
-	cols := make([]schema.Column, 0, l.NumColumns()+r.NumColumns())
-	seen := map[string]bool{}
-	for i := 0; i < l.NumColumns(); i++ {
-		c := l.Column(i)
-		seen[c.Name] = true
-		cols = append(cols, c)
-	}
-	for i := 0; i < r.NumColumns(); i++ {
-		c := r.Column(i)
-		for seen[c.Name] {
-			c.Name += "_r"
-		}
-		seen[c.Name] = true
-		cols = append(cols, c)
-	}
-	return schema.New(cols...)
 }

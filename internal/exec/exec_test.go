@@ -30,7 +30,7 @@ func testSchemaS() *schema.Schema {
 	)
 }
 
-func newDev(t *testing.T) *ssd.Device {
+func newDev(t testing.TB) *ssd.Device {
 	t.Helper()
 	p := ssd.DefaultParams()
 	p.Geometry = nand.Geometry{
@@ -51,7 +51,7 @@ type fixture struct {
 	nS   int
 }
 
-func newFixture(t *testing.T, layout page.Layout, nR, nS int) *fixture {
+func newFixture(t testing.TB, layout page.Layout, nR, nS int) *fixture {
 	t.Helper()
 	dev := newDev(t)
 	var alloc heap.Allocator
@@ -550,4 +550,67 @@ func TestGroupedOutputOrderIsFirstSeen(t *testing.T) {
 			t.Fatalf("group order not first-seen: position %d has key %d", i, r[0].Int)
 		}
 	}
+}
+
+// benchOperator runs op once per iteration on a warm engine-style
+// context — one scratch reused across runs, cold simulated timing —
+// under the scalar and the vectorized executor.
+func benchOperator(b *testing.B, fx *fixture, op Operator) {
+	for _, tun := range []struct {
+		name   string
+		scalar bool
+	}{{"scalar", true}, {"vector", false}} {
+		b.Run(tun.name, func(b *testing.B) {
+			host := DefaultHost()
+			scratch := &Scratch{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				host.Reset()
+				fx.dev.ResetTiming()
+				scratch.Reset()
+				ctx := NewCtx(host)
+				ctx.Scratch = scratch
+				ctx.ScalarExec = tun.scalar
+				if _, _, err := Collect(ctx, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHashJoin times a joined projection: a 1000-row build side,
+// a 20000-row probe scan with a residual filter keeping half of it.
+func BenchmarkHashJoin(b *testing.B) {
+	fx := newFixture(b, page.PAX, 1000, 20000)
+	s := testSchemaS()
+	np := s.NumColumns()
+	benchOperator(b, fx, &Project{
+		Input: &HashJoin{
+			Build:    &TableScan{File: fx.r},
+			Probe:    &TableScan{File: fx.s, Filter: expr.Cmp{Op: expr.LT, L: expr.ColRef(s, "s_val"), R: expr.IntConst(50)}},
+			BuildKey: 0,
+			ProbeKey: 1,
+		},
+		Cols: []OutputCol{
+			{Name: "s_id", E: expr.ColRef(s, "s_id")},
+			{Name: "r_val", E: expr.Col{Index: np + 1, Name: "r_val", K: schema.Int32}},
+		},
+	})
+}
+
+// BenchmarkGroupedAggregate times GROUP BY a CHAR column and an
+// integer one over a filtered 20000-row scan.
+func BenchmarkGroupedAggregate(b *testing.B) {
+	fx := newFixture(b, page.PAX, 10, 20000)
+	s := testSchemaS()
+	benchOperator(b, fx, &Aggregate{
+		Input:   &TableScan{File: fx.s, Filter: expr.Cmp{Op: expr.LT, L: expr.ColRef(s, "s_val"), R: expr.IntConst(90)}},
+		GroupBy: []int{3, 1}, // s_tag, s_fk
+		Aggs: []AggSpec{
+			{Kind: Count, Name: "cnt"},
+			{Kind: Sum, E: expr.ColRef(s, "s_id"), Name: "sum_id"},
+			{Kind: Min, E: expr.ColRef(s, "s_val"), Name: "min_val"},
+		},
+	})
 }

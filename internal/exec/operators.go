@@ -233,23 +233,7 @@ type Project struct {
 // Schema implements Operator.
 func (p *Project) Schema() *schema.Schema {
 	if p.out == nil {
-		cols := make([]schema.Column, len(p.Cols))
-		for i, c := range p.Cols {
-			k := c.E.Kind()
-			w := 0
-			if k == schema.Char {
-				// Width of a projected CHAR is the width of the source
-				// column; expression trees projecting CHAR are always
-				// bare column references in the supported query class.
-				if col, ok := c.E.(expr.Col); ok {
-					w = p.Input.Schema().Column(col.Index).Len
-				} else {
-					w = 32
-				}
-			}
-			cols[i] = schema.Column{Name: c.Name, Kind: k, Len: w}
-		}
-		p.out = schema.New(cols...)
+		p.out = plan.ProjectSchema(p.Input.Schema(), p.Cols)
 	}
 	return p.out
 }
@@ -304,7 +288,7 @@ type HashJoin struct {
 // Schema implements Operator.
 func (j *HashJoin) Schema() *schema.Schema {
 	if j.out == nil {
-		j.out = concatSchemas(j.Probe.Schema(), j.Build.Schema())
+		j.out = schema.Concat(j.Probe.Schema(), j.Build.Schema(), "_r")
 	}
 	return j.out
 }
@@ -318,34 +302,45 @@ func (j *HashJoin) Explain() string {
 		j.Build.Schema().Column(j.BuildKey).Name, j.Probe.Schema().Column(j.ProbeKey).Name)
 }
 
+// hashTable is a join's build side: the build tuples, filed under
+// their join keys in a KeyTable so duplicate keys chain in insertion
+// order.
+type hashTable struct {
+	keys schema.KeyTable
+	rows []schema.Tuple
+}
+
 // runBuild reads the build side fully into the in-memory hash table and
 // returns it with the build phase's completion barrier. Shared by the
 // scalar Run and the vectorized probe wrapper, so both phases charge
 // identically.
-func (j *HashJoin) runBuild(ctx *Ctx) (map[int64][]schema.Tuple, time.Duration, error) {
+func (j *HashJoin) runBuild(ctx *Ctx) (*hashTable, time.Duration, error) {
 	cost := ctx.Host.Cost
-	ht := make(map[int64][]schema.Tuple)
 	// Build tuples are retained for the whole probe phase; an arena
 	// batches their backing allocations instead of one per tuple. A
-	// reused engine supplies a resettable scratch arena so steady-state
-	// builds allocate nothing.
+	// reused engine supplies a resettable scratch arena and table so
+	// steady-state builds allocate nothing.
 	var local schema.TupleArena
-	arena := &local
+	arena, ht := &local, &hashTable{}
 	if ctx.Scratch != nil {
-		arena = &ctx.Scratch.build
+		arena, ht = &ctx.Scratch.build, &ctx.Scratch.join
 	}
+	ht.keys.Reset(1)
+	ht.rows = ht.rows[:0]
 	// An unfiltered full-table build side has a known cardinality:
-	// reserve the value slots up front so the arena allocates one
-	// right-sized slab instead of walking the doubling ladder.
+	// reserve the table and the value slots up front so neither walks
+	// its doubling ladder.
 	if ts, ok := j.Build.(*TableScan); ok && ts.Filter == nil && ts.From == 0 && ts.Count == 0 {
-		arena.Reserve(int(ts.File.TupleCount())*ts.File.Schema().NumColumns(), 0)
+		n := int(ts.File.TupleCount())
+		ht.keys.Reserve(n)
+		arena.Reserve(n*ts.File.Schema().NumColumns(), 0)
 	}
 	// Build-side inserts are identical charges at page-granular ready
 	// times; batch them and take the phase maximum at the barrier.
 	_, err := j.Build.Run(ctx, func(t schema.Tuple, at time.Duration) error {
 		ctx.chargeBatched(cost.HashBuildCycles, at)
-		key := t[j.BuildKey].Int
-		ht[key] = append(ht[key], arena.Clone(t))
+		ht.keys.AddRow1(uint64(t[j.BuildKey].Int))
+		ht.rows = append(ht.rows, arena.Clone(t))
 		ctx.Stats.HashBuilds++
 		return nil
 	})
@@ -370,8 +365,8 @@ func (j *HashJoin) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 			ready = buildDone
 		}
 		ctx.Stats.HashProbes++
-		matches := ht[t[j.ProbeKey].Int]
-		if len(matches) == 0 {
+		b := ht.keys.Chain1(uint64(t[j.ProbeKey].Int))
+		if b < 0 {
 			// Non-matching probes need no per-tuple completion time:
 			// batch their identical charges and fold the phase maximum
 			// into end below.
@@ -379,10 +374,10 @@ func (j *HashJoin) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 			return nil
 		}
 		done := ctx.charge(cost.HashProbeCycles, ready)
-		for _, b := range matches {
+		for ; b >= 0; b = ht.keys.Next(b) {
 			done = ctx.charge(cost.EmitCycles, done)
 			copy(out, t)
-			copy(out[np:], b)
+			copy(out[np:], ht.rows[b])
 			ctx.Stats.RowsEmitted++
 			if err := emit(out, done); err != nil {
 				return err
@@ -422,12 +417,6 @@ const (
 	Max   = plan.Max
 )
 
-type aggState struct {
-	group schema.Tuple
-	vals  []int64
-	seen  []bool
-}
-
 // Aggregate folds input tuples into per-group aggregates (a scalar
 // aggregate when GroupBy is empty) and emits results after the input
 // completes.
@@ -442,15 +431,7 @@ type Aggregate struct {
 // Schema implements Operator.
 func (a *Aggregate) Schema() *schema.Schema {
 	if a.out == nil {
-		in := a.Input.Schema()
-		cols := make([]schema.Column, 0, len(a.GroupBy)+len(a.Aggs))
-		for _, g := range a.GroupBy {
-			cols = append(cols, in.Column(g))
-		}
-		for _, s := range a.Aggs {
-			cols = append(cols, schema.Column{Name: s.Name, Kind: schema.Int64})
-		}
-		a.out = schema.New(cols...)
+		a.out = plan.AggSchema(a.Input.Schema(), a.GroupBy, a.Aggs)
 	}
 	return a.out
 }
@@ -488,109 +469,48 @@ func (a *Aggregate) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 	}
 	perTuple := ops*cost.OpCycles + int64(len(a.Aggs))*cost.AggCycles
 
-	groups := make(map[string]*aggState)
-	var order []string // first-seen group order, for deterministic output
-	keyBuf := make([]byte, 0, 64)
-	// Group tuples and accumulator slices live until the final emit
-	// loop; carving them from an arena batches their allocations. A
-	// reused engine supplies a resettable scratch arena so steady-state
-	// aggregation allocates nothing.
-	var local schema.TupleArena
-	arena := &local
-	if ctx.Scratch != nil {
-		arena = &ctx.Scratch.group
-	}
-	var states []aggState // chunked so *aggState pointers stay stable
-	newState := func() *aggState {
-		if len(states) == cap(states) {
-			states = make([]aggState, 0, max(64, 2*cap(states)))
-		}
-		states = append(states, aggState{
-			vals: arena.Ints(len(a.Aggs)),
-			seen: arena.Bools(len(a.Aggs)),
-		})
-		return &states[len(states)-1]
-	}
-	var end time.Duration
+	groups := ctx.groups(a)
 	var row expr.TupleRow
 	last, err := a.Input.Run(ctx, func(t schema.Tuple, at time.Duration) error {
 		// Fold-in charges are identical for every tuple of a page (same
 		// cycles, same arrival), so they batch into one closed-form CPU
 		// reservation per page; the fold itself happens immediately.
 		ctx.chargeBatched(perTuple, at)
-		keyBuf = keyBuf[:0]
-		in := a.Input.Schema()
-		for _, g := range a.GroupBy {
-			keyBuf = in.EncodeValue(keyBuf, g, t[g])
-		}
-		st, ok := groups[string(keyBuf)]
-		if !ok {
-			st = newState()
-			if len(a.GroupBy) > 0 {
-				st.group = arena.Tuple(len(a.GroupBy))
-				for i, g := range a.GroupBy {
-					v := t[g]
-					if v.Bytes != nil {
-						v.Bytes = arena.CloneBytes(v.Bytes)
-					}
-					st.group[i] = v
-				}
-			}
-			groups[string(keyBuf)] = st
-			order = append(order, string(keyBuf))
-		}
 		row = expr.TupleRow(t)
-		for i, s := range a.Aggs {
-			switch s.Kind {
-			case Count:
-				st.vals[i]++
-			case Sum:
-				st.vals[i] += s.E.Eval(&row).Int
-			case Min:
-				v := s.E.Eval(&row).Int
-				if !st.seen[i] || v < st.vals[i] {
-					st.vals[i] = v
-				}
-			case Max:
-				v := s.E.Eval(&row).Int
-				if !st.seen[i] || v > st.vals[i] {
-					st.vals[i] = v
-				}
-			}
-			st.seen[i] = true
-		}
+		groups.FoldRow(groups.GroupRow(&row), &row)
+		ctx.Stats.Folded++
 		return nil
 	})
-	if m := ctx.takeRunMax(); m > end {
-		end = m
-	}
+	end := ctx.takeRunMax()
 	if err != nil {
 		return end, err
 	}
-	if last > end {
-		end = last
-	}
+	return emitGroups(ctx, groups, max(end, last), emit)
+}
 
-	// Scalar aggregate over empty input still emits one row of zeros.
-	if len(a.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = newState()
-		order = append(order, "")
+// groups returns the aggregate's group table, empty: the engine's
+// scratch one when the context has scratch, a fresh one otherwise.
+func (c *Ctx) groups(a *Aggregate) *plan.Groups {
+	if c.Scratch == nil {
+		return plan.NewGroups(a.Aggs, a.Input.Schema(), a.GroupBy)
 	}
-	out := make(schema.Tuple, len(a.GroupBy)+len(a.Aggs))
-	for _, key := range order {
-		st := groups[key]
-		done := ctx.charge(cost.EmitCycles, end)
-		copy(out, st.group)
-		for i, v := range st.vals {
-			out[len(a.GroupBy)+i] = schema.IntVal(v)
-		}
+	c.Scratch.groups.Reset(a.Aggs, a.Input.Schema(), a.GroupBy)
+	return &c.Scratch.groups
+}
+
+// emitGroups emits one result row per group, in first-seen order (one
+// row for a scalar aggregate, zeros over empty input), from end, when
+// the input completed. It reports the last emit's completion.
+func emitGroups(ctx *Ctx, groups *plan.Groups, end time.Duration, emit Emit) (time.Duration, error) {
+	out := make(schema.Tuple, groups.Width())
+	for i := 0; i < groups.Rows(); i++ {
+		done := ctx.charge(ctx.Host.Cost.EmitCycles, end)
+		groups.Row(i, out)
 		ctx.Stats.RowsEmitted++
 		if err := emit(out, done); err != nil {
 			return end, err
 		}
-		if done > end {
-			end = done
-		}
+		end = max(end, done)
 	}
 	return end, nil
 }

@@ -108,54 +108,34 @@ func runVectorized(ctx *Ctx, op Operator, emit Emit) (time.Duration, error, bool
 }
 
 // compileBatch compiles e for vectorized evaluation through the
-// engine's kernel cache: a reused engine probes by canonical key and
-// compiles each distinct expression once across runs.
+// engine's kernel cache, when the context has scratch.
 func (c *Ctx) compileBatch(e expr.Expr) (*expr.BatchExpr, bool) {
 	if c.Scratch == nil {
 		return expr.CompileBatch(e)
 	}
-	key, ok := expr.BatchKey(e)
-	if !ok {
-		return nil, false
-	}
-	if be := c.Scratch.kernels[key]; be != nil {
-		return be, true
-	}
-	be, ok := expr.CompileBatch(e)
-	if !ok {
-		return nil, false
-	}
 	if c.Scratch.kernels == nil {
 		c.Scratch.kernels = make(map[string]*expr.BatchExpr)
 	}
-	c.Scratch.kernels[key] = be
-	return be, true
+	return expr.CompileCached(c.Scratch.kernels, e)
 }
 
 // vecScan decodes the referenced columns of a TableScan's pages into a
 // columnar Batch and applies the scan's filter as a selection-vector
-// kernel. Column vectors are carved once per run at page capacity and
-// refilled in place page after page.
+// kernel.
 type vecScan struct {
 	scan      *TableScan
 	filter    *expr.BatchExpr // nil when the scan has no filter
 	filterOps int64           // scan.Filter.Ops(), for the page charge
+	cols      *page.Columns
 	batch     *schema.Batch
-	ident     []int32 // identity selection buffer, refilled per page
-	intCols   []int
-	intVecs   [][]int64
-	charCols  []int
-	charVecs  [][][]byte
 }
 
 // newVecScan builds the decode plan for scan: needCols (the columns the
-// consumer reads) plus the filter's columns, deduplicated, each backed
-// by an arena-carved vector. It reports false when the filter is
-// outside the batch compiler's expression class.
+// consumer reads) plus the filter's columns. It reports false when the
+// filter is outside the batch compiler's expression class.
 func newVecScan(ctx *Ctx, scan *TableScan, needCols []int) (*vecScan, bool) {
-	s := scan.File.Schema()
 	v := &vecScan{scan: scan}
-	cols := append([]int(nil), needCols...)
+	cols := needCols
 	if scan.Filter != nil {
 		k, ok := ctx.compileBatch(scan.Filter)
 		if !ok {
@@ -165,43 +145,12 @@ func newVecScan(ctx *Ctx, scan *TableScan, needCols []int) (*vecScan, bool) {
 		v.filterOps = int64(scan.Filter.Ops())
 		cols = expr.AppendDistinctColumns(cols, scan.Filter)
 	}
-	// Global dedupe: AppendDistinctColumns only dedupes within one call.
-	seen := 0
-	for _, c := range cols {
-		dup := false
-		for i := 0; i < seen; i++ {
-			if cols[i] == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cols[seen] = c
-			seen++
-		}
-	}
-	cols = cols[:seen]
-
 	arena := &schema.TupleArena{}
 	if ctx.Scratch != nil {
 		arena = &ctx.Scratch.vec
 	}
-	capacity := page.Capacity(s, scan.File.Layout())
-	v.batch = schema.NewBatch(s.NumColumns())
-	v.ident = arena.Sel(capacity)
-	for _, c := range cols {
-		if s.Column(c).Kind == schema.Char {
-			vec := arena.ByteVecs(capacity)
-			v.batch.SetBytesVec(c, vec)
-			v.charCols = append(v.charCols, c)
-			v.charVecs = append(v.charVecs, vec)
-		} else {
-			vec := arena.Ints(capacity)
-			v.batch.SetInt64Vec(c, vec)
-			v.intCols = append(v.intCols, c)
-			v.intVecs = append(v.intVecs, vec)
-		}
-	}
+	v.cols = page.NewColumns(scan.File.Schema(), scan.File.Layout(), cols, arena)
+	v.batch = v.cols.Batch
 	return v, true
 }
 
@@ -216,26 +165,11 @@ func (v *vecScan) pageCycles(cost CostModel, n int) int64 {
 	return cycles
 }
 
-// bind decodes the planned columns of the bound page into the batch's
-// vectors, in place.
-func (v *vecScan) bind(r *page.Reader) {
-	v.batch.SetLen(r.Count())
-	for k, c := range v.intCols {
-		r.Int64ColumnInto(c, v.intVecs[k])
-	}
-	for k, c := range v.charCols {
-		r.BytesColumnInto(c, v.charVecs[k])
-	}
-}
-
-// selectRows builds the page's selection: every row, refined by the
-// filter kernel when one is attached. The result is valid until the
-// next call.
-func (v *vecScan) selectRows() []int32 {
-	sel := v.ident[:v.batch.Len()]
-	for i := range sel {
-		sel[i] = int32(i)
-	}
+// selectRows decodes the bound page and builds its selection: every
+// row, refined by the filter kernel when one is attached. The result
+// is valid until the next call.
+func (v *vecScan) selectRows(r *page.Reader) []int32 {
+	sel := v.cols.Decode(r)
 	if v.filter != nil {
 		sel = v.filter.Select(v.batch, sel)
 	}
@@ -278,28 +212,7 @@ func runVecAggScan(ctx *Ctx, a *Aggregate, scan *TableScan, emit Emit) (time.Dur
 	}
 	perTuple := ops*cost.OpCycles + int64(len(a.Aggs))*cost.AggCycles
 
-	groups := make(map[string]*aggState)
-	var order []string
-	keyBuf := make([]byte, 0, 64)
-	var local schema.TupleArena
-	arena := &local
-	if ctx.Scratch != nil {
-		arena = &ctx.Scratch.group
-	}
-	var states []aggState
-	newState := func() *aggState {
-		if len(states) == cap(states) {
-			states = make([]aggState, 0, max(64, 2*cap(states)))
-		}
-		states = append(states, aggState{
-			vals: arena.Ints(len(a.Aggs)),
-			seen: arena.Bools(len(a.Aggs)),
-		})
-		return &states[len(states)-1]
-	}
-
-	in := scan.File.Schema()
-	vals := make([][]int64, len(a.Aggs))
+	groups := ctx.groups(a)
 	var end time.Duration
 	process := func(r *page.Reader, arrival time.Duration) error {
 		n := r.Count()
@@ -309,58 +222,15 @@ func runVecAggScan(ctx *Ctx, a *Aggregate, scan *TableScan, emit Emit) (time.Dur
 		}
 		ctx.Stats.PagesRead++
 		ctx.Stats.RowsScanned += int64(n)
-		vs.bind(r)
-		sel := vs.selectRows()
+		sel := vs.selectRows(r)
 		ctx.Stats.RowsEmitted += int64(len(sel))
 		for off := 0; off < len(sel); {
 			lim := selChunk(ctx, off, len(sel))
 			part := sel[off:lim]
 			off = lim
 			ctx.chargeBatchedN(perTuple, done, len(part))
-			for i, k := range aggK {
-				if k != nil {
-					vals[i] = k.EvalInt64(vs.batch, part, vals[i])
-				}
-			}
-			for pi, row := range part {
-				keyBuf = keyBuf[:0]
-				for _, g := range a.GroupBy {
-					keyBuf = in.EncodeValue(keyBuf, g, vs.batch.Value(g, int(row)))
-				}
-				st, ok := groups[string(keyBuf)]
-				if !ok {
-					st = newState()
-					if len(a.GroupBy) > 0 {
-						st.group = arena.Tuple(len(a.GroupBy))
-						for gi, g := range a.GroupBy {
-							gv := vs.batch.Value(g, int(row))
-							if gv.Bytes != nil {
-								gv.Bytes = arena.CloneBytes(gv.Bytes)
-							}
-							st.group[gi] = gv
-						}
-					}
-					groups[string(keyBuf)] = st
-					order = append(order, string(keyBuf))
-				}
-				for i, s := range a.Aggs {
-					switch s.Kind {
-					case Count:
-						st.vals[i]++
-					case Sum:
-						st.vals[i] += vals[i][pi]
-					case Min:
-						if v := vals[i][pi]; !st.seen[i] || v < st.vals[i] {
-							st.vals[i] = v
-						}
-					case Max:
-						if v := vals[i][pi]; !st.seen[i] || v > st.vals[i] {
-							st.vals[i] = v
-						}
-					}
-					st.seen[i] = true
-				}
-			}
+			groups.FoldBatch(vs.batch, part, aggK)
+			ctx.Stats.Folded += int64(len(part))
 		}
 		return nil
 	}
@@ -371,31 +241,8 @@ func runVecAggScan(ctx *Ctx, a *Aggregate, scan *TableScan, emit Emit) (time.Dur
 	if err != nil {
 		return end, err, true
 	}
-	if ioEnd > end {
-		end = ioEnd
-	}
-
-	if len(a.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = newState()
-		order = append(order, "")
-	}
-	out := make(schema.Tuple, len(a.GroupBy)+len(a.Aggs))
-	for _, key := range order {
-		st := groups[key]
-		done := ctx.charge(cost.EmitCycles, end)
-		copy(out, st.group)
-		for i, v := range st.vals {
-			out[len(a.GroupBy)+i] = schema.IntVal(v)
-		}
-		ctx.Stats.RowsEmitted++
-		if err := emit(out, done); err != nil {
-			return end, err, true
-		}
-		if done > end {
-			end = done
-		}
-	}
-	return end, nil, true
+	end, err = emitGroups(ctx, groups, max(end, ioEnd), emit)
+	return end, err, true
 }
 
 // runVecProjScan runs Project-over-TableScan vectorized: one page
@@ -435,8 +282,7 @@ func runVecProjScan(ctx *Ctx, p *Project, scan *TableScan, emit Emit) (time.Dura
 		}
 		ctx.Stats.PagesRead++
 		ctx.Stats.RowsScanned += int64(n)
-		vs.bind(r)
-		sel := vs.selectRows()
+		sel := vs.selectRows(r)
 		ctx.Stats.RowsEmitted += int64(len(sel))
 		for off := 0; off < len(sel); {
 			lim := selChunk(ctx, off, len(sel))
@@ -537,8 +383,7 @@ func (v *vecJoin) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 		}
 		ctx.Stats.PagesRead++
 		ctx.Stats.RowsScanned += int64(n)
-		v.vs.bind(r)
-		sel := v.vs.selectRows()
+		sel := v.vs.selectRows(r)
 		ctx.Stats.RowsEmitted += int64(len(sel))
 		ready := done
 		if buildDone > ready {
@@ -552,8 +397,8 @@ func (v *vecJoin) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 		misses := 0
 		for _, row := range sel {
 			ctx.Stats.HashProbes++
-			matches := ht[keys[row]]
-			if len(matches) == 0 {
+			b := ht.keys.Chain1(uint64(keys[row]))
+			if b < 0 {
 				misses++
 				continue
 			}
@@ -561,10 +406,10 @@ func (v *vecJoin) Run(ctx *Ctx, emit Emit) (time.Duration, error) {
 			misses = 0
 			hdone := ctx.charge(cost.HashProbeCycles, ready)
 			probeT = r.Tuple(probeT, int(row))
-			for _, b := range matches {
+			for ; b >= 0; b = ht.keys.Next(b) {
 				hdone = ctx.charge(cost.EmitCycles, hdone)
 				copy(out, probeT)
-				copy(out[np:], b)
+				copy(out[np:], ht.rows[b])
 				ctx.Stats.RowsEmitted++
 				if err := emit(out, hdone); err != nil {
 					return err

@@ -226,6 +226,27 @@ func CompileBatch(e Expr) (*BatchExpr, bool) {
 	return b, true
 }
 
+// CompileCached is CompileBatch through cache, keyed by BatchKey, so a
+// long-lived executor compiles each distinct expression once. A nil
+// cache compiles afresh every time.
+func CompileCached(cache map[string]*BatchExpr, e Expr) (*BatchExpr, bool) {
+	if cache == nil {
+		return CompileBatch(e)
+	}
+	key, ok := BatchKey(e)
+	if !ok {
+		return nil, false
+	}
+	if be := cache[key]; be != nil {
+		return be, true
+	}
+	be, ok := CompileBatch(e)
+	if ok {
+		cache[key] = be
+	}
+	return be, ok
+}
+
 // Kind reports the compiled expression's result type.
 func (b *BatchExpr) Kind() schema.Kind { return b.kind }
 

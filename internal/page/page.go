@@ -85,6 +85,8 @@ var (
 	ErrBadLayout   = errors.New("page: unknown layout")
 	ErrBadSize     = errors.New("page: wrong page size")
 	ErrSchema      = errors.New("page: tuple width does not match schema")
+	ErrBadCount    = errors.New("page: tuple count exceeds page capacity")
+	ErrBadSlot     = errors.New("page: slot points outside the record area")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -254,15 +256,33 @@ func (r *Reader) Bind(buf []byte) error {
 	if sum != stored {
 		return fmt.Errorf("%w: stored %#x computed %#x", ErrBadChecksum, stored, sum)
 	}
+	// A checksum only proves the page is what was written; check that
+	// what was written can be decoded, so no accessor reads outside buf.
+	count := int(binary.LittleEndian.Uint16(buf[offCount:]))
+	capacity := Capacity(r.schema, l)
+	if count > capacity {
+		return fmt.Errorf("%w: %d tuples, capacity %d", ErrBadCount, count, capacity)
+	}
+	if l == NSM {
+		end := PageSize - 2*count - r.schema.TupleWidth()
+		for i := 0; i < count; i++ {
+			if off := int(binary.LittleEndian.Uint16(buf[PageSize-2*(i+1):])); off < HeaderSize || off > end {
+				return fmt.Errorf("%w: slot %d at offset %d", ErrBadSlot, i, off)
+			}
+		}
+	}
 	r.layout = l
-	r.capacity = Capacity(r.schema, l)
+	r.capacity = capacity
 	r.buf = buf
-	r.count = int(binary.LittleEndian.Uint16(buf[offCount:]))
+	r.count = count
 	return nil
 }
 
 // Layout reports the page's record organization.
 func (r *Reader) Layout() Layout { return r.layout }
+
+// Schema reports the schema the Reader decodes.
+func (r *Reader) Schema() *schema.Schema { return r.schema }
 
 // Count reports the number of tuples stored in the page.
 func (r *Reader) Count() int { return r.count }
@@ -471,4 +491,56 @@ func ReplaceTuple(s *schema.Schema, buf []byte, i int, tuple []byte) error {
 	crc := crc32.Checksum(buf, crcTable)
 	binary.LittleEndian.PutUint32(buf[offCRC:], crc)
 	return nil
+}
+
+// Columns decodes chosen columns of a table's pages into one
+// schema.Batch, refilled in place page after page: numeric columns as
+// []int64, CHAR columns as [][]byte aliasing the page. Its vectors are
+// carved once, at page capacity, from an arena.
+type Columns struct {
+	Batch    *schema.Batch
+	ints     []int
+	intVecs  [][]int64
+	chars    []int
+	charVecs [][][]byte
+	all      []int32
+}
+
+// NewColumns plans the decode of columns cols (repeats ignored) of
+// pages of schema s in layout l, carving the vectors from arena.
+func NewColumns(s *schema.Schema, l Layout, cols []int, arena *schema.TupleArena) *Columns {
+	capacity := Capacity(s, l)
+	c := &Columns{Batch: schema.NewBatch(s.NumColumns()), all: arena.Sel(capacity)}
+	for _, col := range cols {
+		switch {
+		case c.Batch.Int64Vec(col) != nil || c.Batch.BytesVec(col) != nil:
+		case s.Column(col).Kind == schema.Char:
+			vec := arena.ByteVecs(capacity)
+			c.Batch.SetBytesVec(col, vec)
+			c.chars, c.charVecs = append(c.chars, col), append(c.charVecs, vec)
+		default:
+			vec := arena.Ints(capacity)
+			c.Batch.SetInt64Vec(col, vec)
+			c.ints, c.intVecs = append(c.ints, col), append(c.intVecs, vec)
+		}
+	}
+	return c
+}
+
+// Decode decodes the planned columns of the bound page r into the
+// batch and reports the selection of all its rows, valid until the
+// next Decode.
+func (c *Columns) Decode(r *Reader) []int32 {
+	c.Batch.SetLen(r.Count())
+	for k, col := range c.ints {
+		r.Int64ColumnInto(col, c.intVecs[k])
+	}
+	for k, col := range c.chars {
+		r.BytesColumnInto(col, c.charVecs[k])
+	}
+	sel := c.all[:r.Count()]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
 }

@@ -2,8 +2,10 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,7 +31,7 @@ func makeTuple(i int) schema.Tuple {
 	}
 }
 
-func buildPage(t *testing.T, s *schema.Schema, l Layout, n int) []byte {
+func buildPage(t testing.TB, s *schema.Schema, l Layout, n int) []byte {
 	t.Helper()
 	b := NewBuilder(s, l)
 	if n > b.Capacity() {
@@ -340,4 +342,69 @@ func benchColScan(b *testing.B, l Layout) {
 		r.Int64Column(1, func(_ int, v int64) { sum += v })
 	}
 	_ = sum
+}
+
+// reseal rewrites buf's checksum so it verifies, whatever else buf says.
+func reseal(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[offCRC:], 0)
+	binary.LittleEndian.PutUint32(buf[offCRC:], crc32.Checksum(buf, crcTable))
+	return buf
+}
+
+// FuzzReaderBind feeds Bind arbitrary bytes: every input must either
+// bind or fail with one of the page errors, never panic, and a page
+// that binds must decode every tuple and column. An input is a page's
+// head and tail — the header and the NSM slot directory — with zeros
+// between, small enough for the fuzzer to mutate quickly; it is tried
+// as given and again with a correct checksum, so the fuzzer reaches
+// the checks behind the checksum. The head alone is tried too, as
+// bytes of any length.
+func FuzzReaderBind(f *testing.F) {
+	const edge = 96
+	s := testSchema()
+	add := func(page []byte) { f.Add(page[:edge], page[PageSize-edge:]) }
+	for _, l := range []Layout{NSM, PAX} {
+		add(buildPage(f, s, l, 0))
+		add(buildPage(f, s, l, 12))
+		add(buildPage(f, s, l, Capacity(s, l)))
+		over := buildPage(f, s, l, 3)
+		binary.LittleEndian.PutUint16(over[offCount:], uint16(Capacity(s, l)+1))
+		add(over)
+	}
+	stray := buildPage(f, s, NSM, 3)
+	binary.LittleEndian.PutUint16(stray[PageSize-4:], PageSize-8) // slot 1
+	add(stray)
+
+	pageErrs := []error{ErrBadMagic, ErrBadChecksum, ErrBadLayout, ErrBadSize, ErrSchema, ErrBadCount, ErrBadSlot}
+	r := ReaderFor(s)
+	check := func(t *testing.T, buf []byte) {
+		err := r.Bind(buf)
+		if err != nil {
+			for _, want := range pageErrs {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("Bind: untyped error %v", err)
+		}
+		var tup schema.Tuple
+		for i := 0; i < r.Count(); i++ {
+			tup = r.Tuple(tup, i)
+		}
+		for c := 0; c < s.NumColumns(); c++ {
+			if s.Column(c).Kind == schema.Char {
+				r.BytesColumnInto(c, nil)
+			} else {
+				r.Int64ColumnInto(c, nil)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, head, tail []byte) {
+		check(t, head)
+		buf := make([]byte, PageSize)
+		copy(buf[PageSize-min(len(tail), PageSize):], tail)
+		copy(buf, head)
+		check(t, buf)
+		check(t, reseal(buf))
+	})
 }

@@ -6,12 +6,44 @@ package plan
 
 import (
 	"smartssd/internal/expr"
+	"smartssd/internal/schema"
 )
 
 // OutputCol names one projected expression.
 type OutputCol struct {
 	Name string
 	E    expr.Expr
+}
+
+// ProjectSchema reports the schema of cols projected from rows of in.
+// A projected CHAR is as wide as its source column: expression trees
+// projecting CHAR are bare column references in the supported query
+// class.
+func ProjectSchema(in *schema.Schema, cols []OutputCol) *schema.Schema {
+	out := make([]schema.Column, len(cols))
+	for i, c := range cols {
+		out[i] = schema.Column{Name: c.Name, Kind: c.E.Kind()}
+		if out[i].Kind == schema.Char {
+			out[i].Len = 32
+			if col, ok := c.E.(expr.Col); ok {
+				out[i].Len = in.Column(col.Index).Len
+			}
+		}
+	}
+	return schema.New(out...)
+}
+
+// AggSchema reports the schema of aggs over rows of in, grouped by the
+// columns groupBy: the group columns, then one Int64 per aggregate.
+func AggSchema(in *schema.Schema, groupBy []int, aggs []AggSpec) *schema.Schema {
+	out := make([]schema.Column, 0, len(groupBy)+len(aggs))
+	for _, g := range groupBy {
+		out = append(out, in.Column(g))
+	}
+	for _, a := range aggs {
+		out = append(out, schema.Column{Name: a.Name, Kind: schema.Int64})
+	}
+	return schema.New(out...)
 }
 
 // AggKind enumerates aggregate functions.

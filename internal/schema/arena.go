@@ -4,7 +4,7 @@ package schema
 // bytes are carved from chunked slabs instead of one heap object per
 // tuple, cutting the executor's per-tuple allocation count on paths
 // that must retain tuples past their emit window (hash-join build
-// sides, group states, collected result rows).
+// sides, collected result rows).
 //
 // Tuples returned by Clone stay valid for the arena's lifetime; the
 // arena only ever carves forward, so earlier clones are never
@@ -13,7 +13,6 @@ type TupleArena struct {
 	vals  []Value
 	bytes []byte
 	ints  []int64
-	bools []bool
 	sels  []int32
 	bvecs [][]byte
 	// Carves landing in abandoned slabs, accumulated at growth time.
@@ -21,7 +20,7 @@ type TupleArena struct {
 	// demand and right-sizes the retained slab to it, so a reused
 	// arena reaches zero-allocation steady state after one cycle
 	// instead of re-laddering through doubling slabs.
-	valsLost, bytesLost, intsLost, boolsLost, selsLost, bvecsLost int
+	valsLost, bytesLost, intsLost, selsLost, bvecsLost int
 }
 
 const (
@@ -59,12 +58,6 @@ func (a *TupleArena) Reset() {
 		clear(a.ints)
 		a.ints = a.ints[:0]
 	}
-	if d := a.boolsLost + len(a.bools); cap(a.bools) < d {
-		a.bools = make([]bool, 0, d)
-	} else {
-		clear(a.bools)
-		a.bools = a.bools[:0]
-	}
 	if d := a.selsLost + len(a.sels); cap(a.sels) < d {
 		a.sels = make([]int32, 0, d)
 	} else {
@@ -77,8 +70,7 @@ func (a *TupleArena) Reset() {
 		clear(a.bvecs)
 		a.bvecs = a.bvecs[:0]
 	}
-	a.valsLost, a.bytesLost, a.intsLost, a.boolsLost = 0, 0, 0, 0
-	a.selsLost, a.bvecsLost = 0, 0
+	a.valsLost, a.bytesLost, a.intsLost, a.selsLost, a.bvecsLost = 0, 0, 0, 0, 0
 }
 
 // Reserve ensures capacity for vals value slots and bytes slab bytes
@@ -130,7 +122,7 @@ func (a *TupleArena) cloneBytes(b []byte) []byte {
 	return out
 }
 
-// Ints carves a zeroed int64 slice (aggregate accumulators).
+// Ints carves a zeroed int64 slice (column vectors).
 func (a *TupleArena) Ints(n int) []int64 {
 	if cap(a.ints)-len(a.ints) < n {
 		a.intsLost += len(a.ints)
@@ -139,18 +131,6 @@ func (a *TupleArena) Ints(n int) []int64 {
 	ln := len(a.ints)
 	out := a.ints[ln : ln+n : ln+n]
 	a.ints = a.ints[:ln+n]
-	return out
-}
-
-// Bools carves a zeroed bool slice (aggregate seen flags).
-func (a *TupleArena) Bools(n int) []bool {
-	if cap(a.bools)-len(a.bools) < n {
-		a.boolsLost += len(a.bools)
-		a.bools = make([]bool, 0, max(arenaValChunk, n, 2*cap(a.bools)))
-	}
-	ln := len(a.bools)
-	out := a.bools[ln : ln+n : ln+n]
-	a.bools = a.bools[:ln+n]
 	return out
 }
 
@@ -179,18 +159,4 @@ func (a *TupleArena) ByteVecs(n int) [][]byte {
 	out := a.bvecs[ln : ln+n : ln+n]
 	a.bvecs = a.bvecs[:ln+n]
 	return out
-}
-
-// Tuple carves a zero-valued tuple of n values. Slab memory is zero by
-// construction: fresh slabs start zeroed and Reset re-zeroes the used
-// prefix before any reuse.
-func (a *TupleArena) Tuple(n int) Tuple {
-	if cap(a.vals)-len(a.vals) < n {
-		a.valsLost += len(a.vals)
-		a.vals = make([]Value, 0, max(arenaValChunk, n, 2*cap(a.vals)))
-	}
-	ln := len(a.vals)
-	out := a.vals[ln : ln+n : ln+n]
-	a.vals = a.vals[:ln+n]
-	return Tuple(out)
 }

@@ -19,28 +19,21 @@ func TestArenaResetReusesSlabs(t *testing.T) {
 			in[0].Int = int64(i)
 			a.Clone(in)
 			a.Ints(4)
-			a.Bools(4)
-			a.Tuple(3)
+			a.Sel(3)
 		}
 	}
 	fill()
 	a.Reset()
 
 	// Carves after Reset must be zeroed even though the slab was used.
-	tup := a.Tuple(8)
-	for i, v := range tup {
-		if v.Int != 0 || v.Bytes != nil {
-			t.Fatalf("Tuple carve not zero at %d after Reset: %+v", i, v)
-		}
-	}
 	for i, n := range a.Ints(16) {
 		if n != 0 {
 			t.Fatalf("Ints carve not zero at %d after Reset", i)
 		}
 	}
-	for i, b := range a.Bools(16) {
-		if b {
-			t.Fatalf("Bools carve not zero at %d after Reset", i)
+	for i, n := range a.Sel(16) {
+		if n != 0 {
+			t.Fatalf("Sel carve not zero at %d after Reset", i)
 		}
 	}
 

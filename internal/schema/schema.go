@@ -165,6 +165,21 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
+// Concat reports the schema of l's columns followed by r's: a join's
+// combined row. An r column whose name is taken gets suffix appended
+// until it is unique.
+func Concat(l, r *Schema, suffix string) *Schema {
+	cols := append(l.Columns(), r.cols...)
+	seen := map[string]bool{}
+	for i := range cols {
+		for seen[cols[i].Name] {
+			cols[i].Name += suffix
+		}
+		seen[cols[i].Name] = true
+	}
+	return New(cols...)
+}
+
 // Value is a single column value. Numeric kinds use Int; Char uses Bytes.
 // The zero Value is a zero of whatever kind the schema assigns it.
 type Value struct {
