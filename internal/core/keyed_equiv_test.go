@@ -113,13 +113,14 @@ func randomKeyedSpec(rng *rand.Rand) QuerySpec {
 // TestKeyedDeviceHostEquivalenceProperty is the keyed hash table's
 // contract across execution paths: for random joins, groupings and
 // projections, the host and the device return the same rows in the
-// same order, and on each of them the scalar and vectorized tunings
-// agree on everything — rows, elapsed time, and every per-resource
-// report. The table is wall-clock machinery; no virtual number may
-// feel which loop drove it.
+// same order, and each of host, device and hybrid returns its pinned
+// Result — rows, elapsed time, and every per-resource report. The
+// table is wall-clock machinery; no virtual number may feel which loop
+// drove it.
 func TestKeyedDeviceHostEquivalenceProperty(t *testing.T) {
 	const trials = 16
 	rng := rand.New(rand.NewSource(27))
+	pins := loadPinned(t, "keyed")
 	for trial := 0; trial < trials; trial++ {
 		layout := page.NSM
 		if rng.Intn(2) == 1 {
@@ -130,30 +131,10 @@ func TestKeyedDeviceHostEquivalenceProperty(t *testing.T) {
 		loadRandomTables(t, e, rng, layout, 1500+rng.Intn(3000), nKeys+3)
 		loadDupDim(t, e, rng, layout, nKeys)
 		spec := randomKeyedSpec(rng)
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			var rows [][]schema.Tuple
-			for _, mode := range []Mode{ForceHost, ForceDevice} {
-				var want string
-				for _, scalar := range []bool{true, false} {
-					c, err := e.Clone()
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.SetExecTuning(scalar, 0)
-					res := mustRun(t, c, spec, mode)
-					got := resultFingerprint(res)
-					if scalar {
-						want = got
-						rows = append(rows, res.Rows)
-						continue
-					}
-					if got != want {
-						t.Fatalf("mode %v: vectorized diverged from scalar (spec %+v):\n--- scalar ---\n%s--- vectorized ---\n%s",
-							mode, spec, want, got)
-					}
-				}
-			}
-			requireSameRows(t, rows[0], rows[1])
+		name := fmt.Sprintf("trial%02d", trial)
+		t.Run(name, func(t *testing.T) {
+			res := pins.runPinned(t, name, e, spec)
+			requireSameRows(t, res[0].Rows, res[1].Rows)
 		})
 	}
 }

@@ -10,36 +10,20 @@ import (
 	"smartssd/internal/plan"
 )
 
-// vectorSettings are the executor tunings the equivalence properties
-// sweep: the scalar reference, the vectorized default (whole-page
-// batches), a degenerate one-row batch, a mid-size batch, and a batch
-// far above any page's tuple capacity.
-var vectorSettings = []struct {
-	name      string
-	scalar    bool
-	batchRows int
-}{
-	{"scalar", true, 0},
-	{"vec-page", false, 0},
-	{"vec-batch1", false, 1},
-	{"vec-batch7", false, 7},
-	{"vec-batch1M", false, 1 << 20},
-}
-
 // TestVectorizedScalarEquivalenceProperty is the vectorized executor's
-// contract: for random queries in the supported class, every executor
-// tuning — scalar, page batches, batch size 1, an odd mid-size batch,
-// and a batch larger than any page — produces a byte-identical Result
-// on both paths: rows, virtual elapsed time, energy, host CPU stats,
-// and the full per-resource report. Batching is a wall-clock
-// optimization only; the simulated timeline must not feel it.
+// contract: for random queries in the supported class, the host, device
+// and hybrid paths return the Result pinned from the scalar executor —
+// rows, virtual elapsed time, energy, host CPU stats, and the full
+// per-resource report. Batching is a wall-clock optimization only; the
+// simulated timeline must not feel it.
 func TestVectorizedScalarEquivalenceProperty(t *testing.T) {
 	const trials = 12
 	rng := rand.New(rand.NewSource(20130622))
+	pins := loadPinned(t, "vectorized_scalar")
 
 	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
+		name := fmt.Sprintf("trial%02d", trial)
+		t.Run(name, func(t *testing.T) {
 			layout := page.NSM
 			if rng.Intn(2) == 1 {
 				layout = page.PAX
@@ -48,30 +32,7 @@ func TestVectorizedScalarEquivalenceProperty(t *testing.T) {
 			nFact := 2000 + rng.Intn(4000)
 			nDim := 5 + rng.Intn(60)
 			loadRandomTables(t, e, rng, layout, nFact, nDim)
-			spec := randomSpec(rng, nDim)
-
-			for _, mode := range []Mode{ForceHost, ForceDevice} {
-				var want string
-				for _, s := range vectorSettings {
-					// A fresh clone per setting: each run sees the same
-					// cold simulator state, so fingerprints compare
-					// timing and utilization too, not just rows.
-					c, err := e.Clone()
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.SetExecTuning(s.scalar, s.batchRows)
-					got := resultFingerprint(mustRun(t, c, spec, mode))
-					if s.scalar {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Fatalf("mode %v setting %s diverged from scalar (spec %+v):\n--- scalar ---\n%s--- %s ---\n%s",
-							mode, s.name, spec, want, s.name, got)
-					}
-				}
-			}
+			pins.runPinned(t, name, e, randomSpec(rng, nDim))
 		})
 	}
 }
@@ -79,8 +40,8 @@ func TestVectorizedScalarEquivalenceProperty(t *testing.T) {
 // TestVectorizedEmptySelectionEquivalence pins the all-rows-filtered
 // edge: a predicate no tuple satisfies leaves every selection vector
 // empty, and the vectorized paths must still charge the scan exactly
-// like the scalar loop does (page and per-tuple cycles are spent
-// whether or not anything qualifies).
+// like the scalar loop did (page and per-tuple cycles are spent whether
+// or not anything qualifies).
 func TestVectorizedEmptySelectionEquivalence(t *testing.T) {
 	fact := randomFactSchema()
 	impossible := expr.Cmp{Op: expr.LT, L: expr.ColRef(fact, "v1"), R: expr.IntConst(-1)}
@@ -116,34 +77,17 @@ func TestVectorizedEmptySelectionEquivalence(t *testing.T) {
 		}},
 	}
 
+	pins := loadPinned(t, "empty_selection")
 	for _, layout := range []page.Layout{page.NSM, page.PAX} {
 		e := newEngine(t)
 		rng := rand.New(rand.NewSource(7))
 		loadRandomTables(t, e, rng, layout, 3000, 16)
 		for _, sp := range specs {
-			sp := sp
-			t.Run(fmt.Sprintf("%v/%s", layout, sp.name), func(t *testing.T) {
-				for _, mode := range []Mode{ForceHost, ForceDevice} {
-					var want string
-					for _, s := range vectorSettings {
-						c, err := e.Clone()
-						if err != nil {
-							t.Fatal(err)
-						}
-						c.SetExecTuning(s.scalar, s.batchRows)
-						res := mustRun(t, c, sp.spec, mode)
-						if len(sp.spec.Output) > 0 && len(res.Rows) != 0 {
-							t.Fatalf("impossible predicate returned %d rows", len(res.Rows))
-						}
-						got := resultFingerprint(res)
-						if s.scalar {
-							want = got
-							continue
-						}
-						if got != want {
-							t.Fatalf("mode %v setting %s diverged on empty selection:\n--- scalar ---\n%s--- %s ---\n%s",
-								mode, s.name, want, s.name, got)
-						}
+			name := fmt.Sprintf("%v/%s", layout, sp.name)
+			t.Run(name, func(t *testing.T) {
+				for _, res := range pins.runPinned(t, name, e, sp.spec) {
+					if len(sp.spec.Output) > 0 && len(res.Rows) != 0 {
+						t.Fatalf("impossible predicate returned %d rows", len(res.Rows))
 					}
 				}
 			})
@@ -153,7 +97,7 @@ func TestVectorizedEmptySelectionEquivalence(t *testing.T) {
 
 // TestVectorizedQ6StyleEquivalence runs randomized Q6-shaped predicates
 // (conjunctive range bands plus an arithmetic term, SUM/COUNT on top)
-// across all executor tunings. This is the workload class the
+// against their pinned results. This is the workload class the
 // vectorized executor optimizes hardest — fused compare kernels over a
 // selective conjunction — so it gets its own denser property sweep.
 func TestVectorizedQ6StyleEquivalence(t *testing.T) {
@@ -163,9 +107,9 @@ func TestVectorizedQ6StyleEquivalence(t *testing.T) {
 
 	e := newEngine(t)
 	loadRandomTables(t, e, rand.New(rand.NewSource(99)), page.NSM, 6000, 25)
+	pins := loadPinned(t, "q6_style")
 
 	for trial := 0; trial < trials; trial++ {
-		trial := trial
 		lo := rng.Int63n(900)
 		hi := lo + 1 + rng.Int63n(1000-lo)
 		spec := QuerySpec{
@@ -183,26 +127,9 @@ func TestVectorizedQ6StyleEquivalence(t *testing.T) {
 			},
 			EstSelectivity: float64(hi-lo) / 1000,
 		}
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			for _, mode := range []Mode{ForceHost, ForceDevice} {
-				var want string
-				for _, s := range vectorSettings {
-					c, err := e.Clone()
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.SetExecTuning(s.scalar, s.batchRows)
-					got := resultFingerprint(mustRun(t, c, spec, mode))
-					if s.scalar {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Fatalf("mode %v setting %s diverged (band [%d,%d)):\n--- scalar ---\n%s--- %s ---\n%s",
-							mode, s.name, lo, hi, want, s.name, got)
-					}
-				}
-			}
+		name := fmt.Sprintf("trial%02d", trial)
+		t.Run(name, func(t *testing.T) {
+			pins.runPinned(t, name, e, spec)
 		})
 	}
 }

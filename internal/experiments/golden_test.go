@@ -67,6 +67,41 @@ func goldenArtifacts() []goldenArtifact {
 			}
 			return r.Render(), nil
 		}},
+		{"q1", func(o Options) (string, error) {
+			r, err := ExtQ1(o)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
+		{"concurrency", func(o Options) (string, error) {
+			r, err := ExtConcurrency(o)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
+		{"interfaces", func(o Options) (string, error) {
+			r, err := ExtInterface(o)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
+		{"hybrid", func(o Options) (string, error) {
+			r, err := ExtHybrid(o)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
+		{"faults", func(o Options) (string, error) {
+			r, err := ExtFaults(o)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
 	}
 }
 

@@ -5,49 +5,8 @@ import (
 )
 
 // allArtifacts is every rendered experiment in `-exp all` that runs
-// queries (Fig1 is a static bandwidth trend): the golden figure/table
-// set plus the extension experiments.
-func allArtifacts() []goldenArtifact {
-	arts := goldenArtifacts()
-	arts = append(arts,
-		goldenArtifact{"q1", func(o Options) (string, error) {
-			r, err := ExtQ1(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		goldenArtifact{"concurrency", func(o Options) (string, error) {
-			r, err := ExtConcurrency(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		goldenArtifact{"interfaces", func(o Options) (string, error) {
-			r, err := ExtInterface(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		goldenArtifact{"hybrid", func(o Options) (string, error) {
-			r, err := ExtHybrid(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		goldenArtifact{"faults", func(o Options) (string, error) {
-			r, err := ExtFaults(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-	)
-	return arts
-}
+// queries (Fig1 is a static bandwidth trend).
+func allArtifacts() []goldenArtifact { return goldenArtifacts() }
 
 // TestScalarVectorizedArtifactsByteIdentical proves the vectorized
 // executor's equivalence claim end to end: every `-exp all` artifact —
