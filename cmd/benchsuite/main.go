@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchsuite [-exp all|fig1|table2|fig3|fig5|fig7|table3|q1|concurrency|interfaces|hybrid|faults|planner|util|batch]
+//	benchsuite [-exp all|fig1|table2|fig3|fig5|fig7|table3|q1|concurrency|interfaces|hybrid|faults|planner|util]
 //	           [-sf 0.05] [-synthr 2000] [-seed 1] [-faultseed 0]
 //	           [-par 0] [-cpuprofile file] [-memprofile file]
 //
@@ -15,10 +15,6 @@
 // entering through the SQL front end, and charts the cost model's
 // chosen backend against the measured-best backend — the planner's
 // crossover-agreement evidence.
-//
-// -exp batch sweeps the vectorized executor's batch size and charts
-// real wall-clock time per setting; like util it is excluded from
-// -exp all because measured wall clocks are nondeterministic.
 //
 // -par fans each experiment's independent sweep points across engine
 // clones (0: GOMAXPROCS workers, 1: serial). Rendered output is
@@ -42,11 +38,11 @@ import (
 // experimentNames lists every valid -exp value, in output order.
 var experimentNames = []string{
 	"all", "fig1", "table2", "fig3", "fig5", "fig7", "table3",
-	"q1", "concurrency", "interfaces", "hybrid", "faults", "planner", "util", "batch",
+	"q1", "concurrency", "interfaces", "hybrid", "faults", "planner", "util",
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig1, table2, fig3, fig5, fig7, table3, q1, concurrency, interfaces, hybrid, faults, planner, util, batch")
+	exp := flag.String("exp", "all", "experiment: all, fig1, table2, fig3, fig5, fig7, table3, q1, concurrency, interfaces, hybrid, faults, planner, util")
 	sf := flag.Float64("sf", 0.05, "TPC-H scale factor (paper: 100)")
 	synthR := flag.Int64("synthr", 2000, "Synthetic64_R rows (paper: 1,000,000; S is 400x)")
 	seed := flag.Int64("seed", 1, "data generation seed")
@@ -142,17 +138,6 @@ func main() {
 		r, err := experiments.ExtUtil(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchsuite: util: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(r.Render())
-	}
-
-	// batch is opt-in for the same reason: it reports measured wall
-	// clocks, which vary run to run.
-	if *exp == "batch" {
-		r, err := experiments.ExtBatch(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: batch: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println(r.Render())

@@ -42,11 +42,8 @@ func (e *Engine) Clone() (*Engine, error) {
 		stats:      copyColumnStats(e.stats),
 		cold:       e.cold,
 		hybridAuto: e.hybridAuto,
-		scalarExec: e.scalarExec,
-		batchRows:  e.batchRows,
 	}
 	ne.host.Cost = e.host.Cost
-	ne.runtime.SetExecTuning(e.scalarExec)
 	ne.pool = bufpool.New(e.cfg.PoolPages, func(lba int64, data []byte) error {
 		_, err := sdev.WritePage(lba, data, 0)
 		return err

@@ -139,11 +139,6 @@ type Engine struct {
 	// planner estimates it beats both pure paths.
 	hybridAuto bool
 
-	// scalarExec and batchRows are the executor tuning knobs (see
-	// SetExecTuning); the zero values select the vectorized default.
-	scalarExec bool
-	batchRows  int
-
 	// scratch holds reusable executor arenas, reset between runs so a
 	// reused engine stops allocating on join-build and aggregate paths.
 	scratch exec.Scratch
@@ -266,20 +261,6 @@ func (e *Engine) SetHybridAuto(enabled bool) { e.hybridAuto = enabled }
 // paper's "no data cached in the buffer pool prior to running each
 // query". Warm runs keep pool contents and accumulate on the timeline.
 func (e *Engine) SetCold(cold bool) { e.cold = cold }
-
-// SetExecTuning selects the executor implementation on both the host
-// and device paths: scalar true forces tuple-at-a-time execution,
-// false (the default) lets supported plans run vectorized over columnar
-// batches; batchRows caps the host path's selection chunk length (zero
-// means whole-page batches). Every setting produces byte-identical
-// results, timings, and resource accounting — the vectorized paths
-// charge closed-form identical CPU cycles — so these are wall-clock
-// knobs for benchmarks, sweeps, and equivalence tests.
-func (e *Engine) SetExecTuning(scalar bool, batchRows int) {
-	e.scalarExec = scalar
-	e.batchRows = batchRows
-	e.runtime.SetExecTuning(scalar)
-}
 
 // ErrNoTable is reported for queries over unknown tables.
 var ErrNoTable = errors.New("core: unknown table")

@@ -164,6 +164,50 @@ func TestHybridBeatsBothPureModesOnQ6(t *testing.T) {
 	}
 }
 
+// TestColdExplainIgnoresPoolHistory checks that EXPLAIN on a cold
+// engine prices the empty pool its next Run starts from, not the pages
+// an earlier host run left cached.
+func TestColdExplainIgnoresPoolHistory(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sf = 0.01
+	if _, err := e.CreateTable("lineitem", tpch.LineitemSchema(), page.PAX, tpch.NumLineitem(sf)/51+2, OnSSD); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("lineitem", tpch.NewLineitemGen(sf, 1).Next); err != nil {
+		t.Fatal(err)
+	}
+	q6 := QuerySpec{Table: "lineitem", Filter: tpch.Q6Predicate(), Aggs: tpch.Q6Aggregates(), EstSelectivity: 0.006}
+	fresh, err := e.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Explain(q6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := QuerySpec{Table: "lineitem", Aggs: []plan.AggSpec{{Kind: plan.Count, Name: "c"}}}
+	if _, err := e.Run(scan, ForceHost); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Explain(q6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("EXPLAIN after a host scan:\n%s\nfresh clone:\n%s", got, want)
+	}
+	res, err := e.Run(q6, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := "decision: " + res.Decision.String() + "\n"; !strings.Contains(got, line) {
+		t.Fatalf("EXPLAIN\n%sdoes not show the run's %s", got, line)
+	}
+}
+
 func TestHybridRejectsHDDTable(t *testing.T) {
 	e := newEngine(t)
 	loadFact(t, e, page.NSM, 1000, OnHDD)

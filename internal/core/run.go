@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"smartssd/internal/bufpool"
 	"smartssd/internal/device"
 	"smartssd/internal/energy"
 	"smartssd/internal/exec"
@@ -205,7 +206,7 @@ func (e *Engine) runPlaced(spec QuerySpec, mode Mode) (*Result, error) {
 	case ForceDevice:
 		return e.runDevice(spec, t, build, dq, opt.Decision{Pushdown: true, Reason: "forced"})
 	default:
-		d := e.planner.Decide(dq, e.ssd, e.pool, spec.EstSelectivity)
+		d := e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity)
 		// With hybrid planning enabled, a costed (non-vetoed) decision
 		// may route to the split when it beats both pure paths.
 		if e.hybridAuto && d.HostCost > 0 && d.HybridCost > 0 &&
@@ -356,12 +357,10 @@ func maxColumn(ex expr.Expr) int {
 }
 
 // newExecCtx builds a host executor context carrying the engine's
-// scratch arenas and execution tuning.
+// scratch arenas.
 func (e *Engine) newExecCtx() *exec.Ctx {
 	ctx := exec.NewCtx(e.host)
 	ctx.Scratch = &e.scratch
-	ctx.ScalarExec = e.scalarExec
-	ctx.BatchRows = e.batchRows
 	return ctx
 }
 
@@ -522,7 +521,17 @@ func (e *Engine) Decide(spec QuerySpec) (opt.Decision, error) {
 	if err != nil {
 		return opt.Decision{}, err
 	}
-	return e.planner.Decide(dq, e.ssd, e.pool, spec.EstSelectivity), nil
+	return e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity), nil
+}
+
+// runPool reports the buffer pool the next Run starts from, the one the
+// planner prices: none on a cold engine, whose Run clears the pool
+// first.
+func (e *Engine) runPool() *bufpool.Pool {
+	if e.cold {
+		return nil
+	}
+	return e.pool
 }
 
 // Explain renders both candidate plans and the planner's decision
@@ -548,7 +557,7 @@ func (e *Engine) Explain(spec QuerySpec) (string, error) {
 			return "", err
 		}
 		out += "device plan:\n" + dq.Explain()
-		d := e.planner.Decide(dq, e.ssd, e.pool, spec.EstSelectivity)
+		d := e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity)
 		out += "decision: " + d.String() + "\n"
 	}
 	return out, nil

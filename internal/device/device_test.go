@@ -309,7 +309,17 @@ func TestOpenValidatesQuery(t *testing.T) {
 	if _, err := fx.rt.Open(badJoin); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("bad join key err = %v", err)
 	}
+	uncompiled := Query{
+		Table:  RefOf(fx.s),
+		Output: []plan.OutputCol{{Name: "x", E: opaqueExpr{expr.ColRef(s, "s_id")}}},
+	}
+	if _, err := fx.rt.Open(uncompiled); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("expression outside the batch compiler's class: err = %v", err)
+	}
 }
+
+// opaqueExpr is an expression the batch compiler does not know.
+type opaqueExpr struct{ expr.Col }
 
 func TestMemoryGrantRejected(t *testing.T) {
 	// A device with tiny DRAM cannot host the build hash table.

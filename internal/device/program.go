@@ -188,78 +188,8 @@ func (q Query) Explain() string {
 // usedColumns reports the combined-row columns the program reads
 // besides the join keys: filter, outputs, aggregates, and group keys.
 func (q Query) usedColumns() []int {
-	var cols []int
-	if q.Filter != nil {
-		cols = expr.AppendDistinctColumns(cols, q.Filter)
-	}
-	return distinct(append(cols, q.foldColumns()...))
-}
-
-// foldColumns reports the combined-row columns read to fold or project
-// a surviving row: the outputs, the aggregate inputs, and group keys.
-func (q Query) foldColumns() []int {
-	var cols []int
-	for _, c := range q.Output {
-		cols = expr.AppendDistinctColumns(cols, c.E)
-	}
-	for _, a := range q.Aggs {
-		if a.E != nil {
-			cols = expr.AppendDistinctColumns(cols, a.E)
-		}
-	}
-	return distinct(append(cols, q.GroupBy...))
-}
-
-// distinct drops repeats from cols in place, keeping first occurrences.
-func distinct(cols []int) []int {
-	out := cols[:0]
-	for _, c := range cols {
-		if !slices.Contains(out, c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// buildTable is a join's build side in device DRAM: every build row
-// filed under its key in a KeyTable, duplicate keys chained in
-// insertion order, and the build columns the program reads, decoded
-// column by column into a batch indexed by build row. CHAR values
-// alias the device's page buffers, which nothing writes during a run.
-type buildTable struct {
-	keys schema.KeyTable
-	cols *schema.Batch
-}
-
-// keyColumn decodes join-key column col of the bound page into dst.
-// Keys are numeric values: a CHAR key has none and reads as zero, as
-// Value.Int does on the per-row path.
-func keyColumn(r *page.Reader, col int, dst []int64) []int64 {
-	if r.Schema().Column(col).Kind != schema.Char {
-		return r.Int64ColumnInto(col, dst)
-	}
-	dst = slices.Grow(dst[:0], r.Count())[:r.Count()]
-	clear(dst)
-	return dst
-}
-
-// joinedRow adapts a scanned tuple (inside a bound page) plus an
-// optional matched build row to expr.Row under the combined schema.
-// It is passed by pointer so the expr.Row conversion never
-// heap-allocates per tuple.
-type joinedRow struct {
-	r  *page.Reader
-	i  int
-	np int // number of probe (scanned) columns
-	b  *buildTable
-	br int32 // the matched build row
-}
-
-func (j *joinedRow) Col(c int) schema.Value {
-	if c < j.np {
-		return j.r.Column(j.i, c)
-	}
-	return j.b.cols.Value(c-j.np, int(j.br))
+	es := append([]expr.Expr{q.Filter}, plan.OutputExprs(q.Output)...)
+	return plan.Columns(append(es, plan.AggExprs(q.Aggs)...), q.GroupBy...)
 }
 
 // chunk is one GET-retrievable result piece.
@@ -313,212 +243,55 @@ func (st *stager) ship(ready time.Duration) {
 	}
 }
 
-// progTuning carries the runtime's execution knobs into a program run:
-// the scalar-path override and the cross-run compiled-kernel cache.
-type progTuning struct {
-	scalar  bool
-	kernels map[string]*expr.BatchExpr
+// kernels is a query's expressions compiled for vectorized evaluation
+// at OPEN and kept for the program run: the filter (nil without one),
+// and the aggregate inputs or the output columns.
+type kernels struct {
+	filter *expr.BatchExpr
+	root   []*expr.BatchExpr
 }
 
-// vecProg is the vectorized form of a device scan: compiled
-// filter/aggregate/output kernels plus the columnar batch their decoded
-// column vectors live in, carved once at page capacity and refilled in
-// place page after page. A join probes the page's whole key vector,
-// filters the rows that hit, and gathers the surviving (row, build row)
-// pairs, in row-then-chain order, into a batch over the combined row,
-// which the aggregate and output kernels then run over. The page's
-// cycles are computed closed-form from the row, pair and survivor
-// counts — the per-page DeviceCompute charge is an order-free sum, so
-// the totals are byte-identical to the per-row loop's.
-type vecProg struct {
-	filter *expr.BatchExpr // nil when the query has no filter
-	aggK   []*expr.BatchExpr
-	outK   []*expr.BatchExpr
-	cols   *page.Columns // the scanned table's columns
-	outI   [][]int64     // projection kernel outputs
-	outB   [][][]byte    // CHAR projection kernel outputs
-
-	// Joins only.
-	probeKey  int
-	keys      []int64
-	heads     []int32 // first build row filed under row i's key
-	hits      []int32 // rows whose key is in the build table
-	pairRow   []int32
-	pairBuild []int32
-	pairs     *schema.Batch // the surviving pairs' combined rows
-	gather    []int         // combined columns gathered into pairs
-	gInts     [][]int64
-	gStrs     [][][]byte
-	pairSel   []int32
-}
-
-// newVecProg compiles the vectorized scan, reporting false when any
-// expression is outside the batch compiler's class, or when a join's
-// filter reads build columns (the program then runs the per-row loop).
-func newVecProg(q Query, cache map[string]*expr.BatchExpr, arena *schema.TupleArena) (*vecProg, bool) {
-	v := &vecProg{}
-	np := q.Table.Schema.NumColumns()
-	var cols []int // the scanned table's columns to decode
-	if q.Filter != nil {
-		k, ok := expr.CompileCached(cache, q.Filter)
-		if !ok {
-			return nil, false
-		}
-		v.filter = k
-		cols = expr.AppendDistinctColumns(cols, q.Filter)
-		if q.Join != nil && slices.ContainsFunc(cols, func(c int) bool { return c >= np }) {
-			return nil, false
-		}
-	}
+// compile compiles q's expressions through cache; an expression outside
+// the batch compiler's class makes q invalid.
+func (q Query) compile(cache map[string]*expr.BatchExpr) (kernels, error) {
+	root := plan.OutputExprs(q.Output)
 	if len(q.Aggs) > 0 {
-		v.aggK = make([]*expr.BatchExpr, len(q.Aggs))
-		for i, a := range q.Aggs {
-			if a.E == nil {
-				continue
-			}
-			k, ok := expr.CompileCached(cache, a.E)
-			if !ok {
-				return nil, false
-			}
-			v.aggK[i] = k
-		}
-	} else {
-		v.outK = make([]*expr.BatchExpr, len(q.Output))
-		v.outI = make([][]int64, len(q.Output))
-		v.outB = make([][][]byte, len(q.Output))
-		for i, c := range q.Output {
-			k, ok := expr.CompileCached(cache, c.E)
-			if !ok {
-				return nil, false
-			}
-			v.outK[i] = k
-		}
+		root = plan.AggExprs(q.Aggs)
 	}
-	fold := q.foldColumns()
-	for _, c := range fold {
-		if c < np {
-			cols = append(cols, c)
-		}
+	ks, err := plan.Kernels(cache, append([]expr.Expr{q.Filter}, root...)...)
+	if err != nil {
+		return kernels{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	v.cols = page.NewColumns(q.Table.Schema, q.Table.Layout, cols, arena)
-	if q.Join != nil {
-		v.probeKey = q.Join.ProbeKey
-		v.heads = arena.Sel(page.Capacity(q.Table.Schema, q.Table.Layout))
-		v.pairs = schema.NewBatch(q.combinedSchema().NumColumns())
-		v.gather = fold
-		v.gInts = make([][]int64, len(fold))
-		v.gStrs = make([][][]byte, len(fold))
-	}
-	return v, true
+	return kernels{filter: ks[0], root: ks[1:]}, nil
 }
 
-// bind decodes the bound page and selects the rows passing the filter.
-// It is the no-join path; see probe for joins.
-func (v *vecProg) bind(r *page.Reader) []int32 {
-	sel := v.cols.Decode(r)
-	if v.filter != nil {
-		sel = v.filter.Select(v.cols.Batch, sel)
-	}
-	return sel
-}
-
-// probe runs the bound page's rows through the join: it probes the
-// whole key vector, filters the rows that hit, and gathers the
-// surviving pairs into the pairs batch. It reports how many pairs the
-// probe found (each is one filter evaluation on the per-row path) and
-// the selection over the pairs batch.
-func (v *vecProg) probe(r *page.Reader, bt *buildTable, np int) (int64, []int32) {
-	v.cols.Decode(r)
-	v.keys = keyColumn(r, v.probeKey, v.keys)
-	v.hits = v.hits[:0]
-	var pairs int64
-	for i, k := range v.keys {
-		h := bt.keys.Chain1(uint64(k))
-		if h < 0 {
-			continue
-		}
-		v.heads[i] = h
-		v.hits = append(v.hits, int32(i))
-		for ; h >= 0; h = bt.keys.Next(h) {
-			pairs++
-		}
-	}
-	sel := v.hits
-	if v.filter != nil {
-		sel = v.filter.Select(v.cols.Batch, sel)
-	}
-	v.pairRow, v.pairBuild = v.pairRow[:0], v.pairBuild[:0]
-	for _, i := range sel {
-		for h := v.heads[i]; h >= 0; h = bt.keys.Next(h) {
-			v.pairRow = append(v.pairRow, i)
-			v.pairBuild = append(v.pairBuild, h)
-		}
-	}
-	n := len(v.pairRow)
-	v.pairs.SetLen(n)
-	for k, c := range v.gather {
-		src, col, idx := v.cols.Batch, c, v.pairRow
-		if c >= np {
-			src, col, idx = bt.cols, c-np, v.pairBuild
-		}
-		if vec := src.Int64Vec(col); vec != nil {
-			v.gInts[k] = gatherInto(v.gInts[k], vec, idx)
-			v.pairs.SetInt64Vec(c, v.gInts[k])
-		} else {
-			v.gStrs[k] = gatherInto(v.gStrs[k], src.BytesVec(col), idx)
-			v.pairs.SetBytesVec(c, v.gStrs[k])
-		}
-	}
-	v.pairSel = slices.Grow(v.pairSel[:0], n)[:n]
-	for k := range v.pairSel {
-		v.pairSel[k] = int32(k)
-	}
-	return pairs, v.pairSel
-}
-
-// gatherInto sets dst to src[idx[0]], src[idx[1]], … in place.
-func gatherInto[T any](dst, src []T, idx []int32) []T {
-	dst = slices.Grow(dst[:0], len(idx))[:len(idx)]
-	for k, i := range idx {
-		dst[k] = src[i]
-	}
-	return dst
-}
-
-// stage projects the selected rows of b and stages them, ready at done.
-func (v *vecProg) stage(st *stager, b *schema.Batch, sel []int32, out schema.Tuple, done time.Duration) {
-	for i, kn := range v.outK {
-		if kn.Kind() == schema.Char {
-			v.outB[i] = kn.EvalBytes(b, sel, v.outB[i])
-		} else {
-			v.outI[i] = kn.EvalInt64(b, sel, v.outI[i])
-		}
-	}
-	for k := range sel {
-		for c, kn := range v.outK {
-			if kn.Kind() == schema.Char {
-				out[c] = schema.Value{Bytes: v.outB[c][k]}
-			} else {
-				out[c] = schema.Value{Int: v.outI[c][k]}
-			}
-		}
-		st.add(out, done)
-	}
-}
-
-// program is one run of a validated query inside the device.
+// program is one run of a validated query inside the device. Each page
+// runs page-at-a-time: the scanned columns decode into a batch, the
+// filter kernel selects its rows, and a join probes the page's whole
+// key vector and gathers the (row, build row) pairs, in row-then-chain
+// order, into a batch over the combined row, which the aggregate and
+// output kernels then run over. A filter over build columns runs on
+// the gathered pairs, any other before the gather. The page's cycles
+// are computed closed-form from its row, pair and survivor counts: the
+// per-page DeviceCompute charge is an order-free sum, the total a
+// per-row loop would charge.
 type program struct {
 	dev  *ssd.Device
 	cost CostModel
 	q    Query
+	k    kernels
 	np   int // scanned columns; build columns follow in the combined row
 	res  *result
 	st   *stager
 
-	build     *buildTable // nil without a join
+	cols      *page.Columns // the scanned table's columns
+	join      *plan.Join    // nil without a join
 	buildDone time.Duration
-	groups    *plan.Groups // nil for a projection
-	vp        *vecProg     // nil on the per-row path
+	// lateFilter: the filter reads build columns, so it runs on the
+	// gathered pairs.
+	lateFilter bool
+	groups     *plan.Groups    // nil for a projection
+	proj       *plan.Projector // nil for an aggregate
 
 	// Closed-form charges: filterCycles per filter evaluation,
 	// probeCycles per probed row, perRow per row that survives probe
@@ -526,49 +299,52 @@ type program struct {
 	// projected and staged).
 	filterCycles, probeCycles, perRow, emitRowCycles int64
 
-	outRow  schema.Tuple
-	row     joinedRow
-	pending []pendingRow
-}
-
-// pendingRow is a projected row the per-row loop stages once its
-// page's compute charge has completed.
-type pendingRow struct {
-	i  int
-	br int32
+	outRow schema.Tuple
 }
 
 // runProgram executes a validated query inside the device: fetch pages
 // over the internal path, charge the embedded CPU, stage and ship
 // results. It returns the staged chunks and the completion time.
-func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, tun progTuning) (*result, error) {
+func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, k kernels) (*result, error) {
 	outSchema := q.OutputSchema()
 	p := &program{
 		dev:  dev,
 		cost: cost,
 		q:    q,
+		k:    k,
 		np:   q.Table.Schema.NumColumns(),
 		res:  &result{},
 		st:   &stager{dev: dev, rowBytes: int64(outSchema.TupleWidth()), limit: chunkBytes},
 	}
 	p.chargeConstants()
+	// used are the combined columns the program reads: the scanned ones
+	// decode from each page, the build ones from the build side.
+	used := q.usedColumns()
+	var scanned []int
+	for _, c := range used {
+		if c < p.np {
+			scanned = append(scanned, c)
+		}
+	}
+	if q.Join != nil && q.Filter != nil {
+		p.lateFilter = slices.ContainsFunc(expr.DistinctColumns(q.Filter), func(c int) bool { return c >= p.np })
+	}
 	// Column vectors live for the whole run; an arena carves them once.
 	var arena schema.TupleArena
+	p.cols = page.NewColumns(q.Table.Schema, q.Table.Layout, scanned, &arena)
 	// Phase 1: build the join hash table from the build table.
 	if q.Join != nil {
-		if err := p.loadBuild(&arena); err != nil {
+		if err := p.loadBuild(used); err != nil {
 			return nil, err
 		}
 	}
 	if len(q.Aggs) > 0 {
 		p.groups = plan.NewGroups(q.Aggs, q.combinedSchema(), q.GroupBy)
+	} else {
+		p.proj = plan.NewProjector(k.root)
+		p.outRow = make(schema.Tuple, len(q.Output))
 	}
-	if !tun.scalar {
-		p.vp, _ = newVecProg(q, tun.kernels, &arena)
-	}
-	p.outRow = make(schema.Tuple, len(q.Output))
-	p.row = joinedRow{np: p.np, b: p.build}
-	// Phase 2: scan the main table; per tuple: probe (if joining),
+	// Phase 2: scan the main table; per page: probe (if joining),
 	// residual filter, then output or aggregate.
 	scanEnd, err := p.scan()
 	if err != nil {
@@ -622,37 +398,19 @@ func (p *program) chargeConstants() {
 }
 
 // loadBuild reads the build table over the internal path into device
-// DRAM, charging the embedded CPU for every insert.
-func (p *program) loadBuild(arena *schema.TupleArena) error {
+// DRAM, charging the embedded CPU for every insert. The build side
+// gathers the combined columns used; its CHAR values alias the device's
+// page buffers, which nothing writes during a run.
+func (p *program) loadBuild(used []int) error {
 	j := p.q.Join
 	b := j.Build
-	var read []int // build columns the program reads
-	for _, c := range p.q.usedColumns() {
-		if c >= p.np {
-			read = append(read, c-p.np)
-		}
-	}
-	pc := page.NewColumns(b.Schema, b.Layout, read, arena)
-	// The extent bounds the build side's cardinality: size the table
-	// and the column vectors once instead of walking their doubling
-	// ladders on every run (wall clock only; nothing is charged).
-	n := int(b.maxTuples())
-	bt := &buildTable{cols: schema.NewBatch(b.Schema.NumColumns())}
-	bt.keys.Reset(1)
-	bt.keys.Reserve(n)
-	ints := make([][]int64, b.Schema.NumColumns())
-	strs := make([][][]byte, b.Schema.NumColumns())
-	for _, c := range read {
-		if b.Schema.Column(c).Kind == schema.Char {
-			strs[c] = make([][]byte, 0, n)
-		} else {
-			ints[c] = make([]int64, 0, n)
-		}
-	}
+	// The extent bounds the build side's cardinality: size the table and
+	// the column vectors once instead of walking their doubling ladders
+	// (wall clock only; nothing is charged).
+	p.join = &plan.Join{}
+	p.join.Reset(b.Schema, b.Layout, j.BuildKey, int(b.maxTuples()), p.np, used, false)
 	keyAccess := p.cost.valueCycles(b.Layout)
 	r := page.ReaderFor(b.Schema)
-	var keys []int64
-	rows := 0
 	for pg := int64(0); pg < b.Pages; pg++ {
 		data, at, err := p.dev.FetchPage(b.StartLBA+pg, 0)
 		if err != nil {
@@ -666,23 +424,8 @@ func (p *program) loadBuild(arena *schema.TupleArena) error {
 		if done := p.dev.DeviceCompute(cycles, at); done > p.buildDone {
 			p.buildDone = done
 		}
-		keys = keyColumn(r, j.BuildKey, keys)
-		for _, k := range keys {
-			bt.keys.AddRow1(uint64(k))
-		}
-		rows += len(keys)
-		pc.Decode(r)
-		for _, c := range read {
-			ints[c] = append(ints[c], pc.Batch.Int64Vec(c)...)
-			strs[c] = append(strs[c], pc.Batch.BytesVec(c)...)
-		}
+		p.join.AddPage(r)
 	}
-	for _, c := range read {
-		bt.cols.SetInt64Vec(c, ints[c])
-		bt.cols.SetBytesVec(c, strs[c])
-	}
-	bt.cols.SetLen(rows)
-	p.build = bt
 	return nil
 }
 
@@ -710,13 +453,7 @@ func (p *program) scan() (time.Duration, error) {
 		if err := r.Bind(data); err != nil {
 			return 0, fmt.Errorf("scan page %d: %w", pg, err)
 		}
-		ready := max(at, p.buildDone)
-		var done time.Duration
-		if p.vp != nil {
-			done = p.vecPage(r, ready)
-		} else {
-			done = p.rowPage(r, ready)
-		}
+		done := p.runPage(r, max(at, p.buildDone))
 		consumeRing[pg%prefetchDepth] = done
 		scanEnd = max(scanEnd, done)
 	}
@@ -728,7 +465,7 @@ func (p *program) scan() (time.Duration, error) {
 // the work for each surviving row.
 func (p *program) pageCycles(rows, evaluated, survived int64) int64 {
 	cycles := p.cost.PageCycles + rows*p.cost.TupleCycles + survived*p.perRow
-	if p.build != nil {
+	if p.join != nil {
 		cycles += rows * p.probeCycles
 	}
 	if p.q.Filter != nil {
@@ -737,77 +474,35 @@ func (p *program) pageCycles(rows, evaluated, survived int64) int64 {
 	return cycles
 }
 
-// vecPage runs one bound page through the vectorized program and
-// reports when its compute completes.
-func (p *program) vecPage(r *page.Reader, ready time.Duration) time.Duration {
-	vp := p.vp
+// runPage runs one bound page through the program and reports when its
+// compute completes. A join evaluates its filter once per pair.
+func (p *program) runPage(r *page.Reader, ready time.Duration) time.Duration {
 	n := int64(r.Count())
-	b, evaluated := vp.cols.Batch, n
-	var sel []int32
-	if p.build != nil {
-		evaluated, sel = vp.probe(r, p.build, p.np)
-		b = vp.pairs
-	} else {
-		sel = vp.bind(r)
+	sel := p.cols.Decode(r)
+	b, evaluated := p.cols.Batch, n
+	if p.join != nil {
+		sel, evaluated = p.join.Probe(r, p.q.Join.ProbeKey, sel)
+	}
+	if p.k.filter != nil && !p.lateFilter {
+		sel = p.k.filter.Select(b, sel)
+	}
+	if p.join != nil {
+		b, sel = p.join.Gather(b, sel)
+		if p.lateFilter {
+			sel = p.k.filter.Select(b, sel)
+		}
 	}
 	done := p.dev.DeviceCompute(p.pageCycles(n, evaluated, int64(len(sel))), ready)
 	p.res.matched += int64(len(sel))
 	if p.groups != nil {
-		p.groups.FoldBatch(b, sel, vp.aggK)
-	} else {
-		// Projection is staged past the page's compute charge, exactly
-		// like the per-row loop's pending rows.
-		vp.stage(p.st, b, sel, p.outRow, done)
+		p.groups.FoldBatch(b, sel, p.k.root)
+		return done
 	}
-	return done
-}
-
-// rowPage runs one bound page through the per-row loop and reports
-// when its compute completes.
-func (p *program) rowPage(r *page.Reader, ready time.Duration) time.Duration {
-	q, bt, row := p.q, p.build, &p.row
-	n := r.Count()
-	row.r = r
-	p.pending = p.pending[:0]
-	var evaluated, survived int64
-	for i := 0; i < n; i++ {
-		row.i, row.br = i, -1
-		if bt != nil {
-			// Probe first: the device program pipelines the hash probe
-			// with the residual predicate (Figure 4).
-			if row.br = bt.keys.Chain1(uint64(r.Column(i, q.Join.ProbeKey).Int)); row.br < 0 {
-				continue
-			}
-		}
-		for {
-			pass := true
-			if q.Filter != nil {
-				evaluated++
-				pass = q.Filter.Eval(row).Int != 0
-			}
-			if pass {
-				survived++
-				if p.groups != nil {
-					p.groups.FoldRow(p.groups.GroupRow(row), row)
-				} else {
-					p.pending = append(p.pending, pendingRow{i: i, br: row.br})
-				}
-			}
-			if bt == nil {
-				break
-			}
-			if row.br = bt.keys.Next(row.br); row.br < 0 {
-				break
-			}
-		}
-	}
-	done := p.dev.DeviceCompute(p.pageCycles(int64(n), evaluated, survived), ready)
-	p.res.matched += survived
-	for _, e := range p.pending {
-		row.i, row.br = e.i, e.br
-		for c, oc := range q.Output {
-			p.outRow[c] = oc.E.Eval(row)
-		}
+	// Projected rows are staged once the page's compute charge has
+	// completed.
+	p.proj.Eval(b, sel)
+	for k := range sel {
+		p.proj.Row(k, p.outRow)
 		p.st.add(p.outRow, done)
 	}
 	return done

@@ -71,8 +71,9 @@ type Runtime struct {
 	granted    int64 // DRAM bytes granted to live sessions
 	phases     PhaseStats
 	rec        *trace.Recorder // nil unless SetRecorder installed one
-	scalarExec bool            // force the scalar per-tuple program loop
-	kernels    map[string]*expr.BatchExpr
+	// kernels caches compiled expressions across programs, keyed by
+	// their structural signature.
+	kernels map[string]*expr.BatchExpr
 }
 
 // PhaseStats aggregates protocol-phase latencies across sessions. An
@@ -118,13 +119,6 @@ func NewRuntime(dev *ssd.Device, c CostModel) *Runtime {
 	}
 }
 
-// SetExecTuning selects the program execution path: scalar true forces
-// the per-tuple loop, false (the default) lets supported programs run
-// vectorized. Both paths produce byte-identical results, timings, and
-// stats — the vectorized loop charges closed-form identical cycles —
-// so this is a wall-clock knob for benchmarks and equivalence tests.
-func (r *Runtime) SetExecTuning(scalar bool) { r.scalarExec = scalar }
-
 func newPhaseStats() PhaseStats {
 	return PhaseStats{
 		Open:  metrics.Phase{Name: "OPEN"},
@@ -164,21 +158,26 @@ const (
 // session holds one program's runtime state: the granted resources, the
 // result chunks produced by the program, and the GET read cursor.
 type session struct {
-	id     SessionID
-	query  Query
-	state  sessionState
-	grant  int64 // DRAM bytes granted at OPEN, released at CLOSE
-	result *result
-	cursor int           // next chunk index for GET
-	lastAt time.Duration // arrival time of the last delivered chunk
+	id      SessionID
+	query   Query
+	kernels kernels
+	state   sessionState
+	grant   int64 // DRAM bytes granted at OPEN, released at CLOSE
+	result  *result
+	cursor  int           // next chunk index for GET
+	lastAt  time.Duration // arrival time of the last delivered chunk
 }
 
 // Open starts a session for query q: the OPEN command. The query is
-// validated and its memory grant checked against device DRAM — both the
-// program's own footprint and the pool already granted to concurrent
-// sessions — before any work is admitted.
+// validated, its expressions compiled, and its memory grant checked
+// against device DRAM — both the program's own footprint and the pool
+// already granted to concurrent sessions — before any work is admitted.
 func (r *Runtime) Open(q Query) (SessionID, error) {
 	if err := q.validate(); err != nil {
+		return 0, err
+	}
+	k, err := q.compile(r.kernels)
+	if err != nil {
 		return 0, err
 	}
 	if r.dev.Injector().Dead() || r.dev.Injector().DeviceFail() {
@@ -198,7 +197,7 @@ func (r *Runtime) Open(q Query) (SessionID, error) {
 	}
 	r.next++
 	id := r.next
-	r.sessions[id] = &session{id: id, query: q, state: stateOpen, grant: need}
+	r.sessions[id] = &session{id: id, query: q, kernels: k, state: stateOpen, grant: need}
 	r.granted += need
 	observe(&r.phases.Open, 0)
 	if r.rec != nil {
@@ -246,8 +245,7 @@ func (r *Runtime) Get(id SessionID) (GetResult, error) {
 		return GetResult{}, fmt.Errorf("%w: %d", ErrSessionAborted, id)
 	}
 	if s.result == nil {
-		res, err := runProgram(r.dev, r.cost, r.chunkBytes, s.query,
-			progTuning{scalar: r.scalarExec, kernels: r.kernels})
+		res, err := runProgram(r.dev, r.cost, r.chunkBytes, s.query, s.kernels)
 		if err != nil {
 			return GetResult{}, fmt.Errorf("device: session %d: %w", id, err)
 		}

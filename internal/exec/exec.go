@@ -2,16 +2,16 @@
 // SQL Server plays in the paper: table scan, filter, projection, simple
 // hash join, and aggregation over heap files on simulated devices.
 //
-// Operators are push-based: each drives its input and emits tuples
-// tagged with the virtual time they become available, so I/O arrival
-// times flow through the pipeline and CPU work is charged against the
-// host CPU model as tuples pass. The run's elapsed time is the
-// completion time of the last emitted (or aggregated) tuple — exactly a
-// pipelined execution on the simulated timeline.
+// The operators describe a plan; Collect executes it (see collect.go).
+// The simulated cost is that of a push-based pipeline: every operator
+// passes on tuples tagged with the virtual time they become available,
+// so I/O arrival times flow through the pipeline and CPU work is charged
+// against the host CPU model as tuples pass. The run's elapsed time is
+// the completion time of the last emitted (or aggregated) tuple —
+// exactly a pipelined execution on the simulated timeline.
 package exec
 
 import (
-	"errors"
 	"time"
 
 	"smartssd/internal/expr"
@@ -96,11 +96,10 @@ type Stats struct {
 // worker reaches steady-state zero allocation on these paths. Not safe
 // for concurrent use; each engine owns its own.
 type Scratch struct {
-	build  schema.TupleArena
-	join   hashTable
+	join   plan.Join
 	groups plan.Groups
-	// vec backs the vectorized path's column vectors and selection
-	// vectors, carved once per run and reused page to page.
+	// vec backs the scans' column and selection vectors, carved once
+	// per run and reused page to page.
 	vec schema.TupleArena
 	// kernels caches compiled batch expressions across runs, keyed by
 	// their canonical structural signature (expr.BatchExpr.Key), so a
@@ -114,7 +113,6 @@ type Scratch struct {
 // compiled-kernel cache survives Reset deliberately: kernels hold no
 // run state beyond reusable scratch vectors.
 func (s *Scratch) Reset() {
-	s.build.Reset()
 	s.vec.Reset()
 }
 
@@ -123,19 +121,9 @@ type Ctx struct {
 	Host  *Host
 	Stats Stats
 	// Scratch, when set, provides reusable arenas for join build and
-	// aggregate group state; operators fall back to run-local arenas
-	// when it is nil.
+	// aggregate group state; Collect falls back to run-local ones when
+	// it is nil.
 	Scratch *Scratch
-	// ScalarExec forces the scalar tuple-at-a-time path. The default
-	// (false) lets Collect run recognized plan shapes through the
-	// vectorized executor, which charges closed-form identical CPU
-	// cycles (see vector.go).
-	ScalarExec bool
-	// BatchRows caps the selection-vector length handed downstream per
-	// batch on the vectorized path; zero means whole-page batches.
-	// Results and charges are identical at every setting (ServeRun is
-	// additive); only wall-clock locality changes.
-	BatchRows int
 
 	// Pending batched charge run: runCount consecutive charges of
 	// runCycles each, all ready at runReady, not yet scheduled on the
@@ -180,11 +168,11 @@ func (c *Ctx) chargeBatched(cycles int64, ready time.Duration) {
 }
 
 // chargeBatchedN accumulates n identical charges at once — exactly n
-// successive chargeBatched calls with the same signature. The
-// vectorized path uses it to book a whole selection vector's worth of
-// per-tuple work (or a counted run of join-probe misses) in one call
-// while preserving the scalar path's flush points: a signature change
-// or any direct charge still flushes first.
+// successive chargeBatched calls with the same signature. Collect uses
+// it to book a whole selection vector's worth of per-tuple work (or a
+// counted run of join-probe misses) in one call while preserving the
+// per-tuple pipeline's flush points: a signature change or any direct
+// charge still flushes first.
 func (c *Ctx) chargeBatchedN(cycles int64, ready time.Duration, n int) {
 	if n <= 0 {
 		return
@@ -200,9 +188,10 @@ func (c *Ctx) chargeBatchedN(cycles int64, ready time.Duration, n int) {
 // chargeRun books k identical charges immediately — flush-equivalent to
 // k successive charge calls with the same arguments — and returns the
 // last completion time. Unlike flushRun it does NOT fold the completion
-// into runMax: it replicates paths (Project's per-row output charges)
-// whose scalar Serves never touch the batched-run accumulator, so a
-// later takeRunMax barrier sees exactly what the scalar path's would.
+// into runMax: it replicates charges (Project's per-row output charges)
+// that are direct Serves in the per-tuple pipeline and never touch the
+// batched-run accumulator, so a later takeRunMax barrier sees exactly
+// what the pipeline's would.
 func (c *Ctx) chargeRun(cycles int64, ready time.Duration, k int) time.Duration {
 	if c.runCount > 0 {
 		c.flushRun()
@@ -242,27 +231,16 @@ func (c *Ctx) takeRunMax() time.Duration {
 	return m
 }
 
-// Emit receives one output tuple and the virtual time it became
-// available. Implementations must not retain t; it may be reused.
-type Emit func(t schema.Tuple, at time.Duration) error
-
-// Operator is a push-based relational operator.
+// Operator is a node of a host plan.
 type Operator interface {
 	// Schema reports the output tuple schema.
 	Schema() *schema.Schema
-	// Run executes the operator, calling emit for every output tuple,
-	// and returns the virtual completion time of the whole run.
-	Run(ctx *Ctx, emit Emit) (time.Duration, error)
 	// Explain renders one line describing this operator (children are
 	// rendered by ExplainTree).
 	Explain() string
 	// Children reports the operator's inputs.
 	Children() []Operator
 }
-
-// ErrStop may be returned by an Emit to stop execution early without
-// reporting an error (used by LIMIT-style consumers and tests).
-var ErrStop = errors.New("exec: stop requested")
 
 // ExplainTree renders an operator tree, one operator per line.
 func ExplainTree(op Operator) string {

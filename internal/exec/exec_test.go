@@ -95,13 +95,23 @@ func newFixture(t testing.TB, layout page.Layout, nR, nS int) *fixture {
 	return &fixture{dev: dev, r: r, s: s, nR: nR, nS: nS}
 }
 
+// selectAll projects every column of op.
+func selectAll(op Operator) *Project {
+	s := op.Schema()
+	cols := make([]OutputCol, s.NumColumns())
+	for i := range cols {
+		c := s.Column(i)
+		cols[i] = OutputCol{Name: c.Name, E: expr.Col{Index: i, Name: c.Name, K: c.Kind}}
+	}
+	return &Project{Input: op, Cols: cols}
+}
+
 func TestTableScanCorrectnessAndTiming(t *testing.T) {
 	for _, layout := range []page.Layout{page.NSM, page.PAX} {
 		t.Run(layout.String(), func(t *testing.T) {
 			fx := newFixture(t, layout, 50, 50000)
 			ctx := NewCtx(DefaultHost())
-			scan := &TableScan{File: fx.s}
-			rows, end, err := Collect(ctx, scan)
+			rows, end, err := Collect(ctx, selectAll(&TableScan{File: fx.s}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +142,7 @@ func TestScanWithInlinePredicate(t *testing.T) {
 	fx := newFixture(t, page.NSM, 50, 3000)
 	ctx := NewCtx(DefaultHost())
 	pred := expr.Cmp{Op: expr.LT, L: expr.ColRef(testSchemaS(), "s_val"), R: expr.IntConst(10)}
-	rows, _, err := Collect(ctx, &TableScan{File: fx.s, Filter: pred})
+	rows, _, err := Collect(ctx, selectAll(&TableScan{File: fx.s, Filter: pred}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +162,23 @@ func TestScanWithInlinePredicate(t *testing.T) {
 	}
 }
 
+// TestFilterOperatorMatchesInlineFilter checks that a Filter over a
+// join keeps the rows a probe-scan filter keeps.
 func TestFilterOperatorMatchesInlineFilter(t *testing.T) {
 	fx := newFixture(t, page.PAX, 50, 3000)
 	pred := expr.Cmp{Op: expr.GE, L: expr.ColRef(testSchemaS(), "s_val"), R: expr.IntConst(95)}
+	join := func(probe *TableScan) *HashJoin {
+		return &HashJoin{Build: &TableScan{File: fx.r}, Probe: probe, BuildKey: 0, ProbeKey: 1}
+	}
 
 	ctx1 := NewCtx(DefaultHost())
-	inline, _, err := Collect(ctx1, &TableScan{File: fx.s, Filter: pred})
+	inline, _, err := Collect(ctx1, selectAll(join(&TableScan{File: fx.s, Filter: pred})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx.dev.ResetTiming()
 	ctx2 := NewCtx(DefaultHost())
-	composed, _, err := Collect(ctx2, &Filter{Input: &TableScan{File: fx.s}, Pred: pred})
+	composed, _, err := Collect(ctx2, selectAll(&Filter{Input: join(&TableScan{File: fx.s}), Pred: pred}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 		BuildKey: 0, // r_id
 		ProbeKey: 1, // s_fk
 	}
-	rows, _, err := Collect(ctx, join)
+	rows, _, err := Collect(ctx, selectAll(join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +266,7 @@ func TestHashJoinWithSelection(t *testing.T) {
 		BuildKey: 0,
 		ProbeKey: 1,
 	}
-	rows, _, err := Collect(ctx, join)
+	rows, _, err := Collect(ctx, selectAll(join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +379,7 @@ func TestBufferPoolScanServesHitsWithoutIO(t *testing.T) {
 	pool := bufpool.New(int(fx.s.Pages())+8, nil)
 	// First scan: cold, warms the pool.
 	ctx := NewCtx(DefaultHost())
-	rows1, _, err := Collect(ctx, &TableScan{File: fx.s, Pool: pool})
+	rows1, _, err := Collect(ctx, selectAll(&TableScan{File: fx.s, Pool: pool}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +388,7 @@ func TestBufferPoolScanServesHitsWithoutIO(t *testing.T) {
 		t.Fatal("cold scan did no I/O")
 	}
 	// Second scan: fully cached, must do zero device I/O.
-	rows2, _, err := Collect(NewCtx(DefaultHost()), &TableScan{File: fx.s, Pool: pool})
+	rows2, _, err := Collect(NewCtx(DefaultHost()), selectAll(&TableScan{File: fx.s, Pool: pool}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,19 +437,21 @@ func contains(s, sub string) bool {
 		}())
 }
 
+// TestEmitStopPropagates checks that the reference interpreter stops
+// at a consumer's error and reports it.
 func TestEmitStopPropagates(t *testing.T) {
 	fx := newFixture(t, page.NSM, 10, 1000)
 	scan := &TableScan{File: fx.s}
 	n := 0
-	_, err := scan.Run(NewCtx(DefaultHost()), func(schema.Tuple, time.Duration) error {
+	_, err := refRun(NewCtx(DefaultHost()), scan, func(schema.Tuple, time.Duration) error {
 		n++
 		if n == 10 {
-			return ErrStop
+			return errStop
 		}
 		return nil
 	})
-	if err != ErrStop {
-		t.Fatalf("err = %v, want ErrStop", err)
+	if err != errStop {
+		t.Fatalf("err = %v, want errStop", err)
 	}
 	if n != 10 {
 		t.Fatalf("emitted %d rows after stop", n)
@@ -477,7 +494,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 		BuildKey: 0,
 		ProbeKey: 0,
 	}
-	rows, _, err := Collect(NewCtx(DefaultHost()), join)
+	rows, _, err := Collect(NewCtx(DefaultHost()), selectAll(join))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,12 +571,12 @@ func TestGroupedOutputOrderIsFirstSeen(t *testing.T) {
 
 // benchOperator runs op once per iteration on a warm engine-style
 // context — one scratch reused across runs, cold simulated timing —
-// under the scalar and the vectorized executor.
+// through Collect and through the reference interpreter.
 func benchOperator(b *testing.B, fx *fixture, op Operator) {
 	for _, tun := range []struct {
-		name   string
-		scalar bool
-	}{{"scalar", true}, {"vector", false}} {
+		name    string
+		collect func(*Ctx, Operator) ([]schema.Tuple, time.Duration, error)
+	}{{"reference", refCollect}, {"collect", Collect}} {
 		b.Run(tun.name, func(b *testing.B) {
 			host := DefaultHost()
 			scratch := &Scratch{}
@@ -570,8 +587,7 @@ func benchOperator(b *testing.B, fx *fixture, op Operator) {
 				scratch.Reset()
 				ctx := NewCtx(host)
 				ctx.Scratch = scratch
-				ctx.ScalarExec = tun.scalar
-				if _, _, err := Collect(ctx, op); err != nil {
+				if _, _, err := tun.collect(ctx, op); err != nil {
 					b.Fatal(err)
 				}
 			}

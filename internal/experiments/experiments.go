@@ -68,14 +68,6 @@ type Options struct {
 	// clone. Slower and allocation-heavy; it exists as the reference
 	// mode the reuse path is proven byte-identical against.
 	FreshClones bool
-	// ScalarExec forces the tuple-at-a-time executor on every engine
-	// the experiments build; BatchRows caps the vectorized host path's
-	// selection chunk length (0: whole-page batches). Rendered reports
-	// are byte-identical at every setting — the vectorized paths charge
-	// closed-form identical CPU cycles — so these are wall-clock knobs
-	// (and the levers of the batch-size sweep and equivalence tests).
-	ScalarExec bool
-	BatchRows  int
 }
 
 func (o *Options) fill() {
@@ -341,9 +333,6 @@ func engineFor(o Options) (*core.Engine, error) {
 	}
 	if o.Tracer != nil {
 		e.SetTracer(o.Tracer)
-	}
-	if o.ScalarExec || o.BatchRows != 0 {
-		e.SetExecTuning(o.ScalarExec, o.BatchRows)
 	}
 	return e, nil
 }

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,5 +209,145 @@ func FuzzParsePredicate(f *testing.F) {
 		}
 		_ = e.Ops()
 		_ = e.Columns(nil)
+		checkKernels(t, e)
 	})
+}
+
+// kernelRows is a batch over parseSchema's columns with the edge values
+// kernels must agree with Eval on: zero divisors, negative and extreme
+// integers, and empty, short and space-padded CHAR values.
+func kernelRows() (*schema.Batch, []TupleRow) {
+	ints := [][]int64{
+		{2300, 1000, 6, 8932, 0, -1, 1<<31 - 1, -1 << 31},
+		{1000, 0, -7, 0, 5, 100, 2, -3},
+		{6, 0, 0, -1, 7, 100, 5, 2},
+		{8932, 0, 8800, 9000, -1, 8766, 1<<31 - 1, 0},
+	}
+	strs := [][][]byte{
+		{[]byte("R"), []byte(""), []byte("A"), []byte(" "), []byte("N"), []byte("R"), []byte("Z"), []byte("a")},
+		{[]byte("PROMO BRUSHED STEEL"), []byte(""), []byte("PROMO"), []byte("PROM"),
+			[]byte("STANDARD POLISHED TIN    "), []byte("promo x"), []byte("PROMO X                  "), []byte("ECONOMY")},
+	}
+	n := len(ints[0])
+	b := schema.NewBatch(6)
+	b.SetLen(n)
+	rows := make([]TupleRow, n)
+	for i := range rows {
+		rows[i] = make(TupleRow, 6)
+	}
+	for c, vec := range ints {
+		b.SetInt64Vec(c, vec)
+		for i, v := range vec {
+			rows[i][c] = schema.IntVal(v)
+		}
+	}
+	for c, vec := range strs {
+		b.SetBytesVec(4+c, vec)
+		for i, v := range vec {
+			rows[i][4+c] = schema.Value{Bytes: v}
+		}
+	}
+	return b, rows
+}
+
+// checkKernels holds e's compiled kernels to Eval over kernelRows under
+// a full, a partial and an empty selection: every parsed expression is
+// in the batch compiler's class, a CHAR expression in a numeric or
+// boolean slot evaluates to zero, and Select keeps exactly the rows
+// Eval finds non-zero.
+func checkKernels(t *testing.T, e Expr) {
+	t.Helper()
+	k, ok := CompileBatch(e)
+	if !ok {
+		t.Fatalf("parsed %s does not compile to kernels", e)
+	}
+	b, rows := kernelRows()
+	for _, sel := range [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {1, 4, 5, 7}, {}} {
+		if e.Kind() == schema.Char {
+			got := k.EvalBytes(b, append([]int32(nil), sel...), nil)
+			for i, r := range sel {
+				if want := e.Eval(rows[r]).Bytes; string(got[i]) != string(want) {
+					t.Fatalf("%s on row %d: kernel %q, Eval %q", e, r, got[i], want)
+				}
+			}
+		}
+		ints := k.EvalInt64(b, append([]int32(nil), sel...), nil)
+		var keep []int32
+		for i, r := range sel {
+			want := e.Eval(rows[r]).Int
+			if ints[i] != want {
+				t.Fatalf("%s on row %d: kernel %d, Eval %d", e, r, ints[i], want)
+			}
+			if want != 0 {
+				keep = append(keep, r)
+			}
+		}
+		if got := k.Select(b, append([]int32(nil), sel...)); !slices.Equal(got, keep) {
+			t.Fatalf("%s: Select kept %v, Eval %v", e, got, keep)
+		}
+	}
+}
+
+// randomSource draws the text of a random well-typed expression of the
+// given kind ('n' numeric, 'b' boolean, 'c' CHAR) over parseSchema.
+func randomSource(rng *rand.Rand, kind byte, depth int) string {
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	leaf := depth <= 0 || rng.Intn(3) == 0
+	switch kind {
+	case 'n':
+		if leaf {
+			return pick("l_quantity", "l_extendedprice", "l_discount", "l_shipdate", "0", "7", "-3",
+				"2147483647", "DATE '1994-06-15'")
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return "-" + randomSource(rng, 'n', depth-1)
+		case 1:
+			return "CASE WHEN " + randomSource(rng, 'b', depth-1) + " THEN " +
+				randomSource(rng, 'n', depth-1) + " ELSE " + randomSource(rng, 'n', depth-1) + " END"
+		default:
+			return "(" + randomSource(rng, 'n', depth-1) + pick(" + ", " - ", " * ", " / ") +
+				randomSource(rng, 'n', depth-1) + ")"
+		}
+	case 'c':
+		if leaf {
+			return pick("l_returnflag", "p_type", "'PROMO'", "''", "'R'")
+		}
+		return "CASE WHEN " + randomSource(rng, 'b', depth-1) + " THEN " +
+			randomSource(rng, 'c', depth-1) + " ELSE " + randomSource(rng, 'c', depth-1) + " END"
+	}
+	cmp := pick(" = ", " <> ", " < ", " <= ", " > ", " >= ")
+	switch rng.Intn(7) {
+	case 0:
+		return randomSource(rng, 'n', depth-1) + cmp + randomSource(rng, 'n', depth-1)
+	case 1:
+		return randomSource(rng, 'c', depth-1) + cmp + randomSource(rng, 'c', depth-1)
+	case 2:
+		return randomSource(rng, 'c', depth-1) + pick(" LIKE ", " NOT LIKE ") + pick("'PROMO%'", "'%'", "'R%'")
+	case 3:
+		return randomSource(rng, 'n', depth-1) + pick(" BETWEEN ", " NOT BETWEEN ") +
+			randomSource(rng, 'n', depth-1) + " AND " + randomSource(rng, 'n', depth-1)
+	case 4:
+		return "NOT (" + randomSource(rng, 'b', depth-1) + ")"
+	case 5:
+		return "(" + randomSource(rng, 'b', depth-1) + pick(" AND ", " OR ") + randomSource(rng, 'b', depth-1) + ")"
+	default:
+		return "l_discount > 5 AND l_quantity < 2400"
+	}
+}
+
+// TestParsedExpressionsCompileProperty is the batch compiler's coverage
+// of the parser's class: every random well-typed expression parses,
+// compiles to kernels, and evaluates on every row exactly as Eval does.
+func TestParsedExpressionsCompileProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	s := parseSchema()
+	for i := 0; i < 2000; i++ {
+		src := randomSource(rng, "nbc"[rng.Intn(3)], 1+rng.Intn(4))
+		e, err := Parse(s, src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		checkKernels(t, e)
+	}
 }

@@ -282,34 +282,3 @@ func exprCycles(e expr.Expr, l page.Layout, c device.CostModel) int64 {
 	}
 	return int64(e.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(e)))*v
 }
-
-// Vectorized-batch amortization constants (advisory). These model the
-// wall-clock — not virtual-time — cost structure of the vectorized
-// executor: each batch pays a fixed kernel-dispatch and selection-setup
-// cost amortized over its rows, so per-tuple overhead falls
-// hyperbolically toward the per-row floor as batches grow. The virtual
-// timeline is unaffected at any batch size (charges are closed-form
-// identical to scalar execution), so Decide never consults these; the
-// batch-size sweep experiment charts the measured curve this model
-// predicts the shape of.
-const (
-	// BatchDispatchOverhead is the per-batch fixed cost, in per-row
-	// work units: kernel dispatch, selection-vector setup, and column
-	// decode entry overhead.
-	BatchDispatchOverhead = 64
-	// BatchRowUnit is the per-row floor, in the same unit.
-	BatchRowUnit = 1
-	// DefaultBatchRows is the executor's batch-size default: zero
-	// selects whole-page batches, the knee of the amortization curve at
-	// the simulator's page capacities.
-	DefaultBatchRows = 0
-)
-
-// BatchOverheadPerRow reports the modeled relative per-row wall-clock
-// cost of executing in batches of n rows; 1.0 is the large-batch floor.
-func BatchOverheadPerRow(n int) float64 {
-	if n <= 0 {
-		n = 1
-	}
-	return (BatchRowUnit + BatchDispatchOverhead/float64(n)) / BatchRowUnit
-}

@@ -214,18 +214,6 @@ func (g *Groups) FoldValue(id int32, i int, v int64) {
 	}
 }
 
-// FoldRow evaluates every aggregate over row r and folds it into
-// group id.
-func (g *Groups) FoldRow(id int32, r expr.Row) {
-	for i, a := range g.aggs {
-		var v int64
-		if a.Kind != Count {
-			v = a.E.Eval(r).Int
-		}
-		g.FoldValue(id, i, v)
-	}
-}
-
 // scalar reports the one group of a fold without group columns,
 // opening it on first use.
 func (g *Groups) scalar() int32 {

@@ -76,7 +76,14 @@ func TestGroupsRowAndBatchFoldsAgree(t *testing.T) {
 		one := NewGroups(aggs, s, groupBy)
 		for _, r := range rows {
 			row := expr.TupleRow(r)
-			one.FoldRow(one.GroupRow(&row), &row)
+			id := one.GroupRow(&row)
+			for i, a := range aggs {
+				var v int64
+				if a.Kind != Count {
+					v = a.E.Eval(&row).Int
+				}
+				one.FoldValue(id, i, v)
+			}
 		}
 		batch := NewGroups(aggs, s, groupBy)
 		for lo := 0; lo < n; lo += 128 {

@@ -198,7 +198,10 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 
 	var updated int64
 	r := page.ReaderFor(tab.Schema)
-	match := newPageFilter(tab, r, filter)
+	match, err := newPageFilter(tab, r, filter)
+	if err != nil {
+		return 0, err
+	}
 	var builder *page.Builder
 	for idx := int64(0); idx < tab.Pages; idx++ {
 		data, pinned, err := t.committedPage(tab, idx)
@@ -207,12 +210,12 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 		}
 		if err = r.Bind(data); err != nil {
 			err = fmt.Errorf("txn: Update: page %d: %w", idx, err)
-		} else if match.any() {
+		} else if sel := match.rows(); len(sel) > 0 {
 			if builder == nil {
 				builder = page.NewBuilder(tab.Schema, tab.Layout)
 			}
 			var n int64
-			n, err = t.rewritePage(tab, idx, &match.row, builder, filter, sets, setIdx)
+			n, err = t.rewritePage(tab, idx, r, sel, builder, sets, setIdx)
 			updated += n
 		}
 		if pinned {
@@ -227,19 +230,21 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 	return updated, nil
 }
 
-// rewritePage rebuilds the page row.r is bound to with the SET clauses
-// applied to its matching rows, logs their after-images, and stages the
-// result as page idx of tab. It reports the number of rows updated.
-func (t *Txn) rewritePage(tab Table, idx int64, row *pageRow, builder *page.Builder,
-	filter expr.Expr, sets []SetClause, setIdx []int) (int64, error) {
-	r, s := row.r, tab.Schema
+// rewritePage rebuilds the page r is bound to with the SET clauses
+// applied to its rows sel, in ascending order, logs their after-images,
+// and stages the result as page idx of tab. It reports the number of
+// rows updated.
+func (t *Txn) rewritePage(tab Table, idx int64, r *page.Reader, sel []int32, builder *page.Builder,
+	sets []SetClause, setIdx []int) (int64, error) {
+	s := tab.Schema
 	var updated int64
 	var tup schema.Tuple
 	var scratch []byte
 	builder.Reset(r.PageNo())
 	for i := 0; i < r.Count(); i++ {
 		tup = r.Tuple(tup, i)
-		if row.i = i; filter == nil || filter.Eval(row).Int != 0 {
+		if len(sel) > 0 && int(sel[0]) == i {
+			sel = sel[1:]
 			// Evaluate all SET expressions against pre-update
 			// values before assigning any (SQL UPDATE semantics).
 			vals := make([]schema.Value, len(sets))
@@ -450,78 +455,37 @@ func (m *Manager) abortAll(txs []*Txn) {
 	}
 }
 
-// pageRow adapts a tuple inside a bound page to expr.Row. It is used by
-// pointer, one per scan, so the expr.Row conversion never allocates.
-type pageRow struct {
-	r *page.Reader
-	i int
-}
-
-func (p *pageRow) Col(c int) schema.Value { return p.r.Column(p.i, c) }
-
-// pageFilter answers whether any row of the page its reader is bound to
-// satisfies a predicate: through the compiled batch kernel the scans
-// use when the predicate is in the batch compiler's class — the
-// referenced columns are decoded in bulk from the page, read-only —
-// and row by row otherwise.
+// pageFilter selects the rows of the page its reader is bound to that
+// satisfy a predicate, through the compiled batch kernel the scans use:
+// the referenced columns are decoded in bulk from the page, read-only.
 type pageFilter struct {
-	filter expr.Expr
-	row    pageRow
-	kernel *expr.BatchExpr // nil: evaluate filter row by row
-	batch  *schema.Batch
-	ident  []int32
-	cols   []int // the filter's columns; vectors are attached to batch
+	r      *page.Reader
+	kernel *expr.BatchExpr // nil: every row matches
+	cols   *page.Columns
 }
 
-func newPageFilter(tab Table, r *page.Reader, filter expr.Expr) *pageFilter {
-	f := &pageFilter{filter: filter, row: pageRow{r: r}}
-	if filter == nil {
-		return f
-	}
-	var ok bool
-	if f.kernel, ok = expr.CompileBatch(filter); !ok {
-		return f
-	}
-	capacity := page.Capacity(tab.Schema, tab.Layout)
-	f.batch = schema.NewBatch(tab.Schema.NumColumns())
-	f.ident = make([]int32, capacity)
-	f.cols = expr.DistinctColumns(filter)
-	for _, c := range f.cols {
-		if tab.Schema.Column(c).Kind == schema.Char {
-			f.batch.SetBytesVec(c, make([][]byte, capacity))
-		} else {
-			f.batch.SetInt64Vec(c, make([]int64, capacity))
+func newPageFilter(tab Table, r *page.Reader, filter expr.Expr) (*pageFilter, error) {
+	f := &pageFilter{r: r}
+	var cols []int
+	if filter != nil {
+		var ok bool
+		if f.kernel, ok = expr.CompileBatch(filter); !ok {
+			return nil, fmt.Errorf("txn: Update: filter %s is outside the batch compiler's class", filter)
 		}
+		cols = expr.DistinctColumns(filter)
 	}
-	return f
+	f.cols = page.NewColumns(tab.Schema, tab.Layout, cols, &schema.TupleArena{})
+	return f, nil
 }
 
-// any reports whether any row of the bound page matches (a nil filter
-// matches every row).
-func (f *pageFilter) any() bool {
-	r := f.row.r
-	n := r.Count()
-	if f.kernel == nil {
-		for f.row.i = 0; f.row.i < n; f.row.i++ {
-			if f.filter == nil || f.filter.Eval(&f.row).Int != 0 {
-				return true
-			}
-		}
-		return false
+// rows reports the matching rows of the bound page in ascending order,
+// valid until the next call.
+func (f *pageFilter) rows() []int32 {
+	sel := f.cols.Decode(f.r)
+	if f.kernel != nil {
+		sel = f.kernel.Select(f.cols.Batch, sel)
 	}
-	f.batch.SetLen(n)
-	for _, c := range f.cols {
-		if v := f.batch.Int64Vec(c); v != nil {
-			r.Int64ColumnInto(c, v)
-		} else {
-			r.BytesColumnInto(c, f.batch.BytesVec(c))
-		}
-	}
-	sel := f.ident[:n]
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return len(f.kernel.Select(f.batch, sel)) > 0
+	return sel
 }
 
 func cloneRow(t schema.Tuple) schema.Tuple {

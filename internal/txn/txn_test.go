@@ -376,13 +376,26 @@ func (d aliasDev) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duratio
 func TestUpdateCopiesOnlyMatchingPages(t *testing.T) {
 	perPage := page.Capacity(testSchema(), page.NSM)
 	id := expr.ColRef(testSchema(), "id")
-	filter := expr.And{Terms: []expr.Expr{
-		expr.Cmp{Op: expr.GE, L: id, R: expr.IntConst(int64(perPage + 3))},
-		expr.Cmp{Op: expr.LT, L: id, R: expr.IntConst(int64(perPage + 6))},
-	}}
+	is := func(v int) expr.Expr { return expr.Cmp{Op: expr.EQ, L: id, R: expr.IntConst(int64(v))} }
+	// Two predicates that both select ids perPage+3 .. perPage+5: a range,
+	// and a LIKE over a CHAR-valued CASE OR'd with an integer CASE.
+	filters := []expr.Expr{
+		expr.And{Terms: []expr.Expr{
+			expr.Cmp{Op: expr.GE, L: id, R: expr.IntConst(int64(perPage + 3))},
+			expr.Cmp{Op: expr.LT, L: id, R: expr.IntConst(int64(perPage + 6))},
+		}},
+		expr.Or{Terms: []expr.Expr{
+			expr.LikePrefix{
+				E:      expr.Case{Cond: is(perPage + 3), Then: expr.StrConst("PROMO X"), Else: expr.StrConst("PLAIN")},
+				Prefix: "PROMO",
+			},
+			is(perPage + 4),
+			expr.Case{Cond: is(perPage + 5), Then: expr.IntConst(1), Else: expr.IntConst(0)},
+		}},
+	}
 	// allocs builds an N-page table and reports what one Update of page 1
-	// allocates, after checking everything else about it.
-	allocs := func(t *testing.T, pages int, pooled bool) float64 {
+	// under filter allocates, after checking everything else about it.
+	allocs := func(t *testing.T, pages int, pooled bool, filter expr.Expr) float64 {
 		f := newFixture(t, pages*perPage)
 		if f.tab.Pages != int64(pages) {
 			t.Fatalf("fixture has %d pages, want %d", f.tab.Pages, pages)
@@ -440,9 +453,11 @@ func TestUpdateCopiesOnlyMatchingPages(t *testing.T) {
 	}
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
-			small, large := allocs(t, 4, pooled), allocs(t, 32, pooled)
-			if large > small {
-				t.Fatalf("allocations grow with the table: %v for 4 pages, %v for 32", small, large)
+			for _, filter := range filters {
+				small, large := allocs(t, 4, pooled, filter), allocs(t, 32, pooled, filter)
+				if large > small {
+					t.Fatalf("%s: allocations grow with the table: %v for 4 pages, %v for 32", filter, small, large)
+				}
 			}
 		})
 	}
