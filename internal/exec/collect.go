@@ -144,7 +144,7 @@ func newRun(ctx *Ctx, op Operator) (*run, error) {
 		if r.scan, err = r.newScan(probe, probeCols); err != nil {
 			return nil, err
 		}
-		r.build, _ = r.newScan(build, nil)
+		r.build, _ = r.newScan(build, nil) // no filter: nothing to compile
 		// The build side outlives its pages, which the pool may recycle
 		// during the probe: its CHAR values are copied.
 		bf := build.File

@@ -454,8 +454,11 @@ func TestUpdateCopiesOnlyMatchingPages(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
 			for _, filter := range filters {
+				// An allocation per page would add 28; refilling a sync.Pool
+				// (fmt's printers, emptied by a collection or at random under
+				// the race detector) adds the odd one.
 				small, large := allocs(t, 4, pooled, filter), allocs(t, 32, pooled, filter)
-				if large > small {
+				if large-small >= (32-4)/2 {
 					t.Fatalf("%s: allocations grow with the table: %v for 4 pages, %v for 32", filter, small, large)
 				}
 			}
