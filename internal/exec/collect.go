@@ -172,39 +172,36 @@ func (r *run) exec() (time.Duration, error) {
 
 // scanPage runs the selected rows of a plain scan's page, whose charge
 // completed at done, through the root: one counted charge per row.
-func (r *run) scanPage(_ *page.Reader, sel []int32, done time.Duration) error {
+func (r *run) scanPage(_ *page.Reader, sel []int32, done time.Duration) {
 	if r.groups != nil {
 		r.ctx.chargeBatchedN(r.perRow, done, len(sel))
-		r.groups.FoldBatch(r.scan.batch, sel, r.aggK)
+		r.groups.FoldBatch(r.scan.cols.Batch, sel, r.aggK)
 		r.ctx.Stats.Folded += int64(len(sel))
-		return nil
+		return
 	}
 	r.ctx.chargeRun(r.perRow, done, len(sel))
-	r.proj.Eval(r.scan.batch, sel)
+	r.proj.Eval(r.scan.cols.Batch, sel)
 	for k := range sel {
 		r.emitRow(k)
 	}
-	return nil
 }
 
 // hashJoin builds the join's hash table, then probes it with the probe
 // scan, and reports the join's completion.
 func (r *run) hashJoin() (time.Duration, error) {
 	ctx, j := r.ctx, &r.s.join
-	_, err := r.drive(r.build, func(pr *page.Reader, sel []int32, done time.Duration) error {
+	_, err := r.drive(r.build, func(pr *page.Reader, sel []int32, done time.Duration) {
 		ctx.chargeBatchedN(r.cost.HashBuildCycles, done, len(sel))
 		j.AddPage(pr)
 		ctx.Stats.HashBuilds += int64(len(sel))
-		return nil
 	})
 	buildDone := ctx.takeRunMax()
 	if err != nil {
 		return buildDone, err
 	}
 	var chainEnd time.Duration
-	scanEnd, err := r.drive(r.scan, func(pr *page.Reader, sel []int32, done time.Duration) error {
+	scanEnd, err := r.drive(r.scan, func(pr *page.Reader, sel []int32, done time.Duration) {
 		chainEnd = max(chainEnd, r.probePage(pr, sel, max(done, buildDone)))
-		return nil
 	})
 	end := max(chainEnd, ctx.takeRunMax())
 	if err != nil {
@@ -225,7 +222,7 @@ func (r *run) hashJoin() (time.Duration, error) {
 func (r *run) probePage(pr *page.Reader, sel []int32, ready time.Duration) time.Duration {
 	ctx, j, cost := r.ctx, &r.s.join, r.cost
 	hits, _ := j.Probe(pr, r.join.ProbeKey, sel)
-	b, pass := j.Gather(r.scan.batch, hits)
+	b, pass := j.Gather(r.scan.cols.Batch, hits)
 	if r.residual != nil {
 		pass = r.residual.Select(b, pass)
 	}
@@ -302,7 +299,6 @@ type vecScan struct {
 	filter    *expr.BatchExpr // nil when the scan has no filter
 	filterOps int64           // scan.Filter.Ops(), for the page charge
 	cols      *page.Columns
-	batch     *schema.Batch
 }
 
 // newScan plans the decode of scan's columns cols plus its filter's.
@@ -317,7 +313,6 @@ func (r *run) newScan(scan *TableScan, cols []int) (*vecScan, error) {
 		cols = expr.AppendDistinctColumns(cols, scan.Filter)
 	}
 	v.cols = page.NewColumns(scan.File.Schema(), scan.File.Layout(), cols, &r.s.vec)
-	v.batch = v.cols.Batch
 	return v, nil
 }
 
@@ -327,7 +322,7 @@ func (r *run) newScan(scan *TableScan, cols []int) (*vecScan, error) {
 // runs over its selection with the charge's completion. drive reports
 // the scan's end: its last page charge or I/O completion, whichever is
 // later.
-func (r *run) drive(v *vecScan, body func(*page.Reader, []int32, time.Duration) error) (time.Duration, error) {
+func (r *run) drive(v *vecScan, body func(*page.Reader, []int32, time.Duration)) (time.Duration, error) {
 	ctx, cost := r.ctx, r.cost
 	var end time.Duration
 	ioEnd, err := v.scan.drivePages(ctx, func(pr *page.Reader, arrival time.Duration) error {
@@ -338,10 +333,11 @@ func (r *run) drive(v *vecScan, body func(*page.Reader, []int32, time.Duration) 
 		ctx.Stats.RowsScanned += n
 		sel := v.cols.Decode(pr)
 		if v.filter != nil {
-			sel = v.filter.Select(v.batch, sel)
+			sel = v.filter.Select(v.cols.Batch, sel)
 		}
 		ctx.Stats.RowsEmitted += int64(len(sel))
-		return body(pr, sel, done)
+		body(pr, sel, done)
+		return nil
 	})
 	return max(end, ioEnd), err
 }
