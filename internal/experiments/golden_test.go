@@ -105,75 +105,57 @@ func goldenArtifacts() []goldenArtifact {
 	}
 }
 
-func goldenPath(name string) string {
-	return filepath.Join("testdata", name+".golden")
-}
-
-// checkGolden fails the test unless got is byte-identical to the golden
-// file of the named artifact.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := goldenPath(name)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if string(want) != got {
-		t.Fatalf("artifact drifted from %s:\n--- golden ---\n%s--- got ---\n%s", path, want, got)
-	}
-}
-
-// TestScalarVectorizedArtifactsByteIdentical proves the one executor's
-// equivalence claim end to end: every `-exp all` artifact — the paper's
-// figures and tables plus every extension experiment — renders
-// byte-for-byte what the tuple-at-a-time executor rendered. The golden
-// files hold those bytes: each was recorded while the scalar executor,
-// the vectorized one and a batch size of 3 were checked to agree on
-// it, and only an intentional model change may rewrite them (run with
-// -update).
-func TestScalarVectorizedArtifactsByteIdentical(t *testing.T) {
+// checkArtifacts renders every artifact once, with a tracer hooked if
+// traced, and requires it to be byte-identical to its golden file; with
+// -update it rewrites the file instead.
+func checkArtifacts(t *testing.T, traced bool) {
 	for _, a := range goldenArtifacts() {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
-			got, err := a.run(goldenOptions())
+			o := goldenOptions()
+			events := 0
+			if traced {
+				o.Tracer = func(sim.TraceEvent) { events++ }
+			}
+			got, err := a.run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if traced && events == 0 {
+				t.Error("tracer hooked but saw no events")
+			}
+			path := filepath.Join("testdata", a.name+".golden")
 			if *update {
-				if err := os.WriteFile(goldenPath(a.name), []byte(got), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			checkGolden(t, a.name, got)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if string(want) != got {
+				t.Fatalf("artifact drifted from %s:\n--- golden ---\n%s--- got ---\n%s", path, want, got)
+			}
 		})
 	}
 }
 
+// TestScalarVectorizedArtifactsByteIdentical pins every `-exp all`
+// artifact — the paper's figures and tables plus every extension
+// experiment — rendered untraced. The golden files were recorded while
+// the tuple-at-a-time executor, the vectorized one and a batch size of 3
+// agreed on every byte, so the one executor left must still render
+// them; only an intentional model change may rewrite them (-update).
+func TestScalarVectorizedArtifactsByteIdentical(t *testing.T) {
+	checkArtifacts(t, false)
+}
+
 // TestGoldenArtifacts proves that turning the tracer on does not
 // perturb a single byte of any artifact: tracing observes virtual time,
-// it never charges it. Each artifact renders with a tracer hooked and
-// must equal its golden file, which holds the untraced bytes
-// (TestScalarVectorizedArtifactsByteIdentical pins those). Under
-// -update that test is rewriting the files, so only the tracer's
-// event count is checked here.
+// it never charges it, so the traced render must equal the same golden
+// files.
 func TestGoldenArtifacts(t *testing.T) {
-	for _, a := range goldenArtifacts() {
-		a := a
-		t.Run(a.name, func(t *testing.T) {
-			traced := goldenOptions()
-			events := 0
-			traced.Tracer = func(sim.TraceEvent) { events++ }
-			got, err := a.run(traced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if events == 0 {
-				t.Error("tracer hooked but saw no events")
-			}
-			if !*update {
-				checkGolden(t, a.name, got)
-			}
-		})
-	}
+	checkArtifacts(t, true)
 }

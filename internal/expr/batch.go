@@ -11,7 +11,7 @@
 package expr
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"smartssd/internal/schema"
@@ -75,11 +75,19 @@ func int64Key(e Expr, sig *strings.Builder) bool {
 	}
 	switch x := e.(type) {
 	case Col:
-		fmt.Fprintf(sig, "c%d:%d", x.Index, x.K)
+		sig.WriteByte('c')
+		keyInt(sig, int64(x.Index))
+		sig.WriteByte(':')
+		keyInt(sig, int64(x.K))
 	case Const:
-		fmt.Fprintf(sig, "k%d:%d", x.K, x.V.Int)
+		sig.WriteByte('k')
+		keyInt(sig, int64(x.K))
+		sig.WriteByte(':')
+		keyInt(sig, x.V.Int)
 	case Cmp:
-		fmt.Fprintf(sig, "(%s ", x.Op)
+		sig.WriteByte('(')
+		sig.WriteString(x.Op.String())
+		sig.WriteByte(' ')
 		charCmp := x.L.Kind() == schema.Char
 		sub := int64Key
 		if charCmp {
@@ -122,7 +130,9 @@ func int64Key(e Expr, sig *strings.Builder) bool {
 		}
 		sig.WriteByte(')')
 	case Arith:
-		fmt.Fprintf(sig, "(%s ", x.Op)
+		sig.WriteByte('(')
+		sig.WriteString(x.Op.String())
+		sig.WriteByte(' ')
 		if !int64Key(x.L, sig) {
 			return false
 		}
@@ -132,7 +142,9 @@ func int64Key(e Expr, sig *strings.Builder) bool {
 		}
 		sig.WriteByte(')')
 	case LikePrefix:
-		fmt.Fprintf(sig, "(like %q ", x.Prefix)
+		sig.WriteString("(like ")
+		sig.WriteString(strconv.Quote(x.Prefix))
+		sig.WriteByte(' ')
 		if !bytesKey(x.E, sig) {
 			return false
 		}
@@ -163,12 +175,14 @@ func bytesKey(e Expr, sig *strings.Builder) bool {
 		if x.K != schema.Char {
 			return false
 		}
-		fmt.Fprintf(sig, "b%d", x.Index)
+		sig.WriteByte('b')
+		keyInt(sig, int64(x.Index))
 	case Const:
 		if x.K != schema.Char {
 			return false
 		}
-		fmt.Fprintf(sig, "s%q", x.V.Bytes)
+		sig.WriteByte('s')
+		sig.WriteString(strconv.Quote(string(x.V.Bytes)))
 	case Case:
 		if x.Then.Kind() != schema.Char {
 			return false
@@ -190,6 +204,13 @@ func bytesKey(e Expr, sig *strings.Builder) bool {
 		return false
 	}
 	return true
+}
+
+// keyInt writes v in decimal. Keys are built without fmt, whose pooled
+// printers would make a key's allocation count vary from call to call.
+func keyInt(sig *strings.Builder, v int64) {
+	var buf [20]byte
+	sig.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 // CompileBatch compiles e into vectorized kernels. It reports false

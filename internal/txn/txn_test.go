@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -443,22 +444,26 @@ func TestUpdateCopiesOnlyMatchingPages(t *testing.T) {
 		}
 		tx.Abort()
 
-		return testing.AllocsPerRun(5, func() {
-			tx := f.mgr.Begin()
-			if n, err := tx.Update("t", filter, setVal(-1)); err != nil || n != 3 {
-				t.Fatalf("Update = %d, %v", n, err)
-			}
-			tx.Abort()
-		})
+		// Now and then a sample picks up a one-off allocation that has
+		// nothing to do with the table's size. That noise only ever adds,
+		// so the least of several samples is the Update's own count.
+		least := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			least = math.Min(least, testing.AllocsPerRun(5, func() {
+				tx := f.mgr.Begin()
+				if n, err := tx.Update("t", filter, setVal(-1)); err != nil || n != 3 {
+					t.Fatalf("Update = %d, %v", n, err)
+				}
+				tx.Abort()
+			}))
+		}
+		return least
 	}
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
 			for _, filter := range filters {
-				// An allocation per page would add 28; refilling a sync.Pool
-				// (fmt's printers, emptied by a collection or at random under
-				// the race detector) adds the odd one.
 				small, large := allocs(t, 4, pooled, filter), allocs(t, 32, pooled, filter)
-				if large-small >= (32-4)/2 {
+				if large > small {
 					t.Fatalf("%s: allocations grow with the table: %v for 4 pages, %v for 32", filter, small, large)
 				}
 			}
