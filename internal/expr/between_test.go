@@ -3,6 +3,8 @@ package expr
 import (
 	"strings"
 	"testing"
+
+	"smartssd/internal/expr/syntax"
 )
 
 func TestParseBetween(t *testing.T) {
@@ -88,14 +90,14 @@ func TestParseBetweenErrors(t *testing.T) {
 }
 
 func TestParseDateExported(t *testing.T) {
-	days, err := ParseDate("1994-01-01")
+	days, err := syntax.ParseDate("1994-01-01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatDate(days); got != "1994-01-01" {
+	if got := syntax.FormatDate(days); got != "1994-01-01" {
 		t.Fatalf("FormatDate(ParseDate) = %q, want 1994-01-01", got)
 	}
-	if _, err := ParseDate("1994-02-30"); err == nil {
+	if _, err := syntax.ParseDate("1994-02-30"); err == nil {
 		t.Fatal("ParseDate accepted a nonexistent date")
 	}
 }

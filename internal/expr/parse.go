@@ -1,58 +1,58 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
+	"smartssd/internal/expr/syntax"
 	"smartssd/internal/schema"
 )
 
-// Parse builds an expression tree from a SQL-ish predicate string,
+// Parse builds an expression tree from a SQL-ish expression string,
 // resolving column names against s. It is the wire-side counterpart of
 // the programmatic constructors: the serving layer accepts textual
 // predicates ("l_discount > 5 AND l_shipdate >= DATE '1994-01-01'")
 // and lowers them through this parser onto the same Expr nodes the
 // host executor and in-device programs share.
 //
-// Grammar (keywords case-insensitive, C-style precedence):
-//
-//	expr    := or
-//	or      := and { OR and }
-//	and     := not { AND not }
-//	not     := NOT not | cmp
-//	cmp     := add [ (= | <> | != | < | <= | > | >=) add
-//	               | [NOT] BETWEEN add AND add
-//	               | [NOT] LIKE 'prefix%' ]
-//	add     := mul { (+ | -) mul }
-//	mul     := unary { (* | /) unary }
-//	unary   := - unary | primary
-//	primary := ( expr )
-//	        | CASE WHEN expr THEN expr ELSE expr END
-//	        | DATE 'YYYY-MM-DD'
-//	        | integer | 'string' | column-name
+// The grammar is the SQL front end's expression grammar (package
+// syntax), and the tree is typed by Bind, the rules a SQL statement's
+// expressions follow. Names are unqualified columns of s; an aggregate
+// call is rejected, and so is anything after the expression. Only the
+// expression keywords are reserved, so a column may be named like a
+// SQL statement word (desc, from).
 //
 // Parse never panics on malformed input: every lexical, syntactic, and
-// type error is reported as a non-nil error (the fuzz target
-// FuzzParsePredicate holds it to that contract). Nesting depth is
-// bounded so adversarial inputs cannot overflow the goroutine stack.
+// type error is reported as a non-nil error carrying a byte offset (the
+// fuzz target FuzzParsePredicate holds it to that contract). Nesting
+// depth is bounded so adversarial inputs cannot overflow the goroutine
+// stack.
 func Parse(s *schema.Schema, src string) (Expr, error) {
-	p := &parser{s: s, src: src}
-	p.next() // prime the first token
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	p := syntax.NewParser(src)
+	n, err := p.ParseExpr()
+	if err == nil {
+		err = p.End("expression")
 	}
-	if p.err != nil {
-		// A lexical error can hide behind a complete-looking parse (the
-		// lexer yields EOF after it); it must still fail the input.
-		return nil, p.err
+	var e Expr
+	if err == nil {
+		e, err = Bind(n, func(c syntax.ColRef) (Col, error) {
+			if c.Table != "" {
+				return Col{}, syntax.Errorf(c.P, "unexpected qualified name %s.%s (an expression names columns of its own table)", c.Table, c.Name)
+			}
+			i := s.ColumnIndex(c.Name)
+			if i < 0 {
+				return Col{}, syntax.Errorf(c.P, "unknown column %q in schema %s", c.Name, s)
+			}
+			col := s.Column(i)
+			return Col{Index: i, Name: col.Name, K: col.Kind}, nil
+		})
 	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errf("unexpected %s after expression", p.tok)
+	var se *syntax.Error
+	if errors.As(err, &se) {
+		return nil, fmt.Errorf("expr: parse %q at offset %d: %s", src, se.Pos, se.Msg)
 	}
-	return e, nil
+	return e, err
 }
 
 // ParsePredicate is Parse restricted to boolean results: the parsed
@@ -67,552 +67,6 @@ func ParsePredicate(s *schema.Schema, src string) (Expr, error) {
 		return nil, fmt.Errorf("expr: predicate must be boolean-valued, got %s (%s)", e.Kind(), e)
 	}
 	return e, nil
-}
-
-// maxParseDepth bounds grammar recursion; deeper input is rejected, not
-// followed (a 10 kB paren chain would otherwise overflow the stack).
-const maxParseDepth = 200
-
-type tokKind uint8
-
-const (
-	tokEOF tokKind = iota
-	tokIdent
-	tokInt
-	tokStr // single-quoted literal, value in text (quotes stripped)
-	tokOp  // punctuation operator, text holds it verbatim
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int // byte offset in src, for error messages
-}
-
-func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
-		return "end of input"
-	case tokStr:
-		return fmt.Sprintf("'%s'", t.text)
-	default:
-		return fmt.Sprintf("%q", t.text)
-	}
-}
-
-type parser struct {
-	s     *schema.Schema
-	src   string
-	pos   int
-	tok   token
-	err   error // first lexical error, surfaced at use
-	depth int
-}
-
-func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("expr: parse %q at offset %d: %s",
-		p.src, p.tok.pos, fmt.Sprintf(format, args...))
-}
-
-// next advances to the following token. Lexical errors park in p.err
-// and yield EOF so the parser unwinds cleanly.
-func (p *parser) next() {
-	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
-		p.pos++
-	}
-	start := p.pos
-	if p.pos >= len(p.src) {
-		p.tok = token{kind: tokEOF, pos: start}
-		return
-	}
-	c := p.src[p.pos]
-	switch {
-	case isDigit(c):
-		for p.pos < len(p.src) && isDigit(p.src[p.pos]) {
-			p.pos++
-		}
-		p.tok = token{kind: tokInt, text: p.src[start:p.pos], pos: start}
-	case isIdentStart(c):
-		for p.pos < len(p.src) && isIdentPart(p.src[p.pos]) {
-			p.pos++
-		}
-		p.tok = token{kind: tokIdent, text: p.src[start:p.pos], pos: start}
-	case c == '\'':
-		p.pos++
-		for p.pos < len(p.src) && p.src[p.pos] != '\'' {
-			p.pos++
-		}
-		if p.pos >= len(p.src) {
-			if p.err == nil {
-				p.err = fmt.Errorf("expr: parse %q at offset %d: unterminated string literal", p.src, start)
-			}
-			p.tok = token{kind: tokEOF, pos: start}
-			return
-		}
-		p.tok = token{kind: tokStr, text: p.src[start+1 : p.pos], pos: start}
-		p.pos++ // closing quote
-	default:
-		// Two-character operators first, longest match wins.
-		for _, op := range []string{"<=", ">=", "<>", "!="} {
-			if strings.HasPrefix(p.src[p.pos:], op) {
-				p.pos += 2
-				p.tok = token{kind: tokOp, text: op, pos: start}
-				return
-			}
-		}
-		if strings.ContainsRune("=<>+-*/()", rune(c)) {
-			p.pos++
-			p.tok = token{kind: tokOp, text: string(c), pos: start}
-			return
-		}
-		if p.err == nil {
-			p.err = fmt.Errorf("expr: parse %q at offset %d: unexpected character %q", p.src, start, c)
-		}
-		p.tok = token{kind: tokEOF, pos: start}
-	}
-}
-
-// keyword reports whether the current token is the given keyword
-// (identifier compared case-insensitively).
-func (p *parser) keyword(kw string) bool {
-	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw)
-}
-
-func (p *parser) op(text string) bool {
-	return p.tok.kind == tokOp && p.tok.text == text
-}
-
-func (p *parser) enter() error {
-	p.depth++
-	if p.depth > maxParseDepth {
-		return fmt.Errorf("expr: parse %q: expression nesting exceeds %d levels", p.src, maxParseDepth)
-	}
-	return nil
-}
-
-func (p *parser) leave() { p.depth-- }
-
-// lexErr surfaces a parked lexical error in place of a syntax error.
-func (p *parser) lexErr(fallback error) error {
-	if p.err != nil {
-		return p.err
-	}
-	return fallback
-}
-
-func (p *parser) parseExpr() (Expr, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
-	return p.parseOr()
-}
-
-func (p *parser) parseOr() (Expr, error) {
-	e, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	var terms []Expr
-	for p.keyword("OR") {
-		p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		if terms == nil {
-			terms = []Expr{e}
-		}
-		terms = append(terms, r)
-	}
-	if terms == nil {
-		return e, nil
-	}
-	for _, t := range terms {
-		if t.Kind() != schema.Int64 {
-			return nil, p.errf("OR operand must be boolean, got %s (%s)", t.Kind(), t)
-		}
-	}
-	return Or{Terms: terms}, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	e, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	var terms []Expr
-	for p.keyword("AND") {
-		p.next()
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		if terms == nil {
-			terms = []Expr{e}
-		}
-		terms = append(terms, r)
-	}
-	if terms == nil {
-		return e, nil
-	}
-	for _, t := range terms {
-		if t.Kind() != schema.Int64 {
-			return nil, p.errf("AND operand must be boolean, got %s (%s)", t.Kind(), t)
-		}
-	}
-	return And{Terms: terms}, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if !p.keyword("NOT") {
-		return p.parseCmp()
-	}
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
-	p.next()
-	e, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	if e.Kind() != schema.Int64 {
-		return nil, p.errf("NOT operand must be boolean, got %s (%s)", e.Kind(), e)
-	}
-	return Not{E: e}, nil
-}
-
-var cmpOps = map[string]CmpOp{
-	"=": EQ, "<>": NE, "!=": NE, "<": LT, "<=": LE, ">": GT, ">=": GE,
-}
-
-func (p *parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	// A NOT here (after an operand) can only introduce NOT BETWEEN or
-	// NOT LIKE; prefix negation was already consumed by parseNot.
-	negate := false
-	if p.keyword("NOT") {
-		p.next()
-		if !p.keyword("BETWEEN") && !p.keyword("LIKE") {
-			return nil, p.lexErr(p.errf("expected BETWEEN or LIKE after NOT, got %s", p.tok))
-		}
-		negate = true
-	}
-	if p.keyword("BETWEEN") {
-		p.next()
-		e, err := p.parseBetween(l)
-		if err != nil {
-			return nil, err
-		}
-		if negate {
-			return Not{E: e}, nil
-		}
-		return e, nil
-	}
-	if p.keyword("LIKE") {
-		p.next()
-		if p.tok.kind != tokStr {
-			return nil, p.lexErr(p.errf("LIKE needs a quoted pattern, got %s", p.tok))
-		}
-		pat := p.tok.text
-		if !strings.HasSuffix(pat, "%") || strings.Count(pat, "%") != 1 {
-			return nil, p.errf("only prefix LIKE patterns ('prefix%%') are supported, got '%s'", pat)
-		}
-		if l.Kind() != schema.Char {
-			return nil, p.errf("LIKE needs a CHAR operand, got %s (%s)", l.Kind(), l)
-		}
-		p.next()
-		var e Expr = LikePrefix{E: l, Prefix: strings.TrimSuffix(pat, "%")}
-		if negate {
-			e = Not{E: e}
-		}
-		return e, nil
-	}
-	if p.tok.kind != tokOp {
-		return l, nil
-	}
-	op, ok := cmpOps[p.tok.text]
-	if !ok {
-		return l, nil
-	}
-	p.next()
-	r, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if !comparable(l.Kind(), r.Kind()) {
-		return nil, p.errf("cannot compare %s (%s) with %s (%s)", l.Kind(), l, r.Kind(), r)
-	}
-	return Cmp{Op: op, L: l, R: r}, nil
-}
-
-// parseBetween finishes "l BETWEEN lo AND hi" (BETWEEN already
-// consumed), desugaring to the half-open pair (l >= lo AND l <= hi) —
-// the range form the interval-aware selectivity estimator recognizes.
-// The AND after lo binds to BETWEEN, not to the boolean connective.
-func (p *parser) parseBetween(l Expr) (Expr, error) {
-	lo, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if !p.keyword("AND") {
-		return nil, p.lexErr(p.errf("BETWEEN needs AND between its bounds, got %s", p.tok))
-	}
-	p.next()
-	hi, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if !comparable(l.Kind(), lo.Kind()) || !comparable(l.Kind(), hi.Kind()) {
-		return nil, p.errf("cannot compare %s (%s) with BETWEEN bounds %s and %s",
-			l.Kind(), l, lo.Kind(), hi.Kind())
-	}
-	return And{Terms: []Expr{
-		Cmp{Op: GE, L: l, R: lo},
-		Cmp{Op: LE, L: l, R: hi},
-	}}, nil
-}
-
-// comparable reports whether two kinds may meet in a comparison: the
-// integer-valued kinds (Int32, Int64, Date) interoperate, Char only
-// compares with Char.
-func comparable(a, b schema.Kind) bool {
-	if a == schema.Char || b == schema.Char {
-		return a == b
-	}
-	return true
-}
-
-func numeric(k schema.Kind) bool {
-	return k == schema.Int32 || k == schema.Int64 || k == schema.Date
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	e, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.op("+") || p.op("-") {
-		op := Add
-		if p.tok.text == "-" {
-			op = Sub
-		}
-		p.next()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		if !numeric(e.Kind()) || !numeric(r.Kind()) {
-			return nil, p.errf("arithmetic needs numeric operands, got %s and %s", e.Kind(), r.Kind())
-		}
-		e = Arith{Op: op, L: e, R: r}
-	}
-	return e, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	e, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.op("*") || p.op("/") {
-		op := Mul
-		if p.tok.text == "/" {
-			op = Div
-		}
-		p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if !numeric(e.Kind()) || !numeric(r.Kind()) {
-			return nil, p.errf("arithmetic needs numeric operands, got %s and %s", e.Kind(), r.Kind())
-		}
-		e = Arith{Op: op, L: e, R: r}
-	}
-	return e, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if !p.op("-") {
-		return p.parsePrimary()
-	}
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
-	p.next()
-	// Fold a literal directly so "-5" parses as the constant it reads as.
-	if p.tok.kind == tokInt {
-		v, err := strconv.ParseInt("-"+p.tok.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("integer literal out of range: -%s", p.tok.text)
-		}
-		p.next()
-		return IntConst(v), nil
-	}
-	e, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	if !numeric(e.Kind()) {
-		return nil, p.errf("unary minus needs a numeric operand, got %s", e.Kind())
-	}
-	return Arith{Op: Sub, L: IntConst(0), R: e}, nil
-}
-
-func (p *parser) parsePrimary() (Expr, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
-	switch {
-	case p.op("("):
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if !p.op(")") {
-			return nil, p.lexErr(p.errf("expected ')', got %s", p.tok))
-		}
-		p.next()
-		return e, nil
-	case p.tok.kind == tokInt:
-		v, err := strconv.ParseInt(p.tok.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("integer literal out of range: %s", p.tok.text)
-		}
-		p.next()
-		return IntConst(v), nil
-	case p.tok.kind == tokStr:
-		e := StrConst(p.tok.text)
-		p.next()
-		return e, nil
-	case p.keyword("DATE"):
-		p.next()
-		if p.tok.kind != tokStr {
-			return nil, p.lexErr(p.errf("DATE needs a quoted 'YYYY-MM-DD' literal, got %s", p.tok))
-		}
-		days, err := parseDate(p.tok.text)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		p.next()
-		return DateConst(days), nil
-	case p.keyword("CASE"):
-		return p.parseCase()
-	case p.tok.kind == tokIdent:
-		if isReserved(p.tok.text) {
-			return nil, p.errf("unexpected keyword %s", p.tok)
-		}
-		i := p.s.ColumnIndex(p.tok.text)
-		if i < 0 {
-			return nil, p.errf("unknown column %s in schema %s", p.tok, p.s)
-		}
-		c := Col{Index: i, Name: p.s.Column(i).Name, K: p.s.Column(i).Kind}
-		p.next()
-		return c, nil
-	default:
-		return nil, p.lexErr(p.errf("expected an expression, got %s", p.tok))
-	}
-}
-
-func (p *parser) parseCase() (Expr, error) {
-	p.next() // CASE
-	if !p.keyword("WHEN") {
-		return nil, p.lexErr(p.errf("expected WHEN, got %s", p.tok))
-	}
-	p.next()
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if cond.Kind() != schema.Int64 {
-		return nil, p.errf("CASE condition must be boolean, got %s (%s)", cond.Kind(), cond)
-	}
-	if !p.keyword("THEN") {
-		return nil, p.lexErr(p.errf("expected THEN, got %s", p.tok))
-	}
-	p.next()
-	then, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.keyword("ELSE") {
-		return nil, p.lexErr(p.errf("expected ELSE, got %s", p.tok))
-	}
-	p.next()
-	els, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.keyword("END") {
-		return nil, p.lexErr(p.errf("expected END, got %s", p.tok))
-	}
-	p.next()
-	if then.Kind() != els.Kind() && !(numeric(then.Kind()) && numeric(els.Kind())) {
-		return nil, p.errf("CASE branches disagree: THEN is %s, ELSE is %s", then.Kind(), els.Kind())
-	}
-	return Case{Cond: cond, Then: then, Else: els}, nil
-}
-
-// reservedWords are identifiers the grammar claims; they never resolve
-// as column names even if a schema were to use them.
-var reservedWords = []string{
-	"AND", "OR", "NOT", "LIKE", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END", "DATE",
-}
-
-func isReserved(word string) bool {
-	for _, w := range reservedWords {
-		if strings.EqualFold(word, w) {
-			return true
-		}
-	}
-	return false
-}
-
-// parseDate converts 'YYYY-MM-DD' to a day count since 1970-01-01,
-// rejecting out-of-range components rather than normalizing them (a
-// DATE '1994-99-99' is a typo, not March of 2002).
-func parseDate(s string) (int64, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return 0, fmt.Errorf("malformed date '%s': want 'YYYY-MM-DD'", s)
-	}
-	nums := make([]int, 3)
-	for i, part := range parts {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return 0, fmt.Errorf("malformed date '%s': want 'YYYY-MM-DD'", s)
-		}
-		nums[i] = n
-	}
-	y, m, d := nums[0], nums[1], nums[2]
-	if y < 1700 || y > 2500 || m < 1 || m > 12 || d < 1 || d > 31 {
-		return 0, fmt.Errorf("date '%s' out of range", s)
-	}
-	t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
-	if t.Day() != d || int(t.Month()) != m {
-		return 0, fmt.Errorf("date '%s' does not exist", s)
-	}
-	return t.Unix() / 86400, nil
-}
-
-// ParseDate converts a 'YYYY-MM-DD' literal body to epoch days (the
-// DATE column encoding). The SQL front end shares it so both parsers
-// accept and reject exactly the same literals.
-func ParseDate(s string) (int64, error) { return parseDate(s) }
-
-// FormatDate renders epoch days back to the 'YYYY-MM-DD' literal body,
-// the inverse of ParseDate; canonical renderers use it.
-func FormatDate(days int64) string {
-	t := time.Unix(days*86400, 0).UTC()
-	return fmt.Sprintf("%04d-%02d-%02d", t.Year(), int(t.Month()), t.Day())
 }
 
 // Render serializes an expression to the textual form Parse accepts:
@@ -640,7 +94,7 @@ func render(b *strings.Builder, e Expr) {
 		case schema.Char:
 			fmt.Fprintf(b, "'%s'", v.V.Bytes)
 		case schema.Date:
-			fmt.Fprintf(b, "DATE '%s'", FormatDate(v.V.Int))
+			fmt.Fprintf(b, "DATE '%s'", syntax.FormatDate(v.V.Int))
 		default:
 			fmt.Fprintf(b, "%d", v.V.Int)
 		}
@@ -692,8 +146,3 @@ func renderTerms(b *strings.Builder, terms []Expr, sep string) {
 	}
 	b.WriteByte(')')
 }
-
-func isSpace(c byte) bool      { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }

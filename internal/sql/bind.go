@@ -1,11 +1,13 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"smartssd/internal/core"
 	"smartssd/internal/expr"
+	"smartssd/internal/expr/syntax"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
 )
@@ -169,7 +171,7 @@ func (b *binder) bindFrom() error {
 
 // resolveCol maps a column reference to its combined-row index: probe
 // columns first, then (for joins) build columns.
-func (b *binder) resolveCol(c ColRef) (int, error) {
+func (b *binder) resolveCol(c syntax.ColRef) (int, error) {
 	np := b.probe.NumColumns()
 	if c.Table != "" {
 		switch {
@@ -281,16 +283,16 @@ func (b *binder) bindJoinAndFilter() (expr.Expr, error) {
 // names; otherwise empty strings. Resolution failures are not errors
 // here — the term simply is not the join condition, and binding the
 // residual filter reports them with full context.
-func (b *binder) joinKeysOf(t Expr) (probeCol, buildCol string, err error) {
-	cmp, ok := t.(Cmp)
+func (b *binder) joinKeysOf(t syntax.Expr) (probeCol, buildCol string, err error) {
+	cmp, ok := t.(syntax.Cmp)
 	if !ok || cmp.Op != "=" {
 		return "", "", nil
 	}
-	lc, ok := cmp.L.(ColRef)
+	lc, ok := cmp.L.(syntax.ColRef)
 	if !ok {
 		return "", "", nil
 	}
-	rc, ok := cmp.R.(ColRef)
+	rc, ok := cmp.R.(syntax.ColRef)
 	if !ok {
 		return "", "", nil
 	}
@@ -311,19 +313,19 @@ func (b *binder) joinKeysOf(t Expr) (probeCol, buildCol string, err error) {
 }
 
 // topConjuncts flattens the top-level AND of a predicate.
-func topConjuncts(e Expr) []Expr {
+func topConjuncts(e syntax.Expr) []syntax.Expr {
 	if e == nil {
 		return nil
 	}
-	if l, ok := e.(Logical); ok && l.Op == "AND" {
+	if l, ok := e.(syntax.Logical); ok && l.Op == "AND" {
 		return l.Terms
 	}
-	return []Expr{e}
+	return []syntax.Expr{e}
 }
 
 // rejoinConjuncts rebuilds the predicate with conjunct i removed.
-func rejoinConjuncts(terms []Expr, i int) Expr {
-	rest := make([]Expr, 0, len(terms)-1)
+func rejoinConjuncts(terms []syntax.Expr, i int) syntax.Expr {
+	rest := make([]syntax.Expr, 0, len(terms)-1)
 	rest = append(rest, terms[:i]...)
 	rest = append(rest, terms[i+1:]...)
 	switch len(rest) {
@@ -332,7 +334,7 @@ func rejoinConjuncts(terms []Expr, i int) Expr {
 	case 1:
 		return rest[0]
 	default:
-		return Logical{Op: "AND", Terms: rest, P: rest[0].Pos()}
+		return syntax.Logical{Op: "AND", Terms: rest, P: rest[0].Pos()}
 	}
 }
 
@@ -355,7 +357,7 @@ func (b *binder) bindGroupBy() error {
 func (b *binder) bindSelectList() error {
 	aggregated := len(b.stmt.GroupBy) > 0
 	for _, item := range b.stmt.Items {
-		if _, ok := item.E.(FuncCall); ok {
+		if _, ok := item.E.(syntax.FuncCall); ok {
 			aggregated = true
 		}
 	}
@@ -376,7 +378,7 @@ func (b *binder) bindSelectList() error {
 	// list must spell exactly that so SQL results match it.
 	for i := 0; i < nGroup; i++ {
 		item := b.stmt.Items[i]
-		c, ok := item.E.(ColRef)
+		c, ok := item.E.(syntax.ColRef)
 		if !ok {
 			return b.errf(item.P,
 				"select item %d must be the GROUP BY column %q (group columns come first, in GROUP BY order)",
@@ -401,7 +403,7 @@ func (b *binder) bindSelectList() error {
 	}
 	for i := nGroup; i < len(b.stmt.Items); i++ {
 		item := b.stmt.Items[i]
-		call, ok := item.E.(FuncCall)
+		call, ok := item.E.(syntax.FuncCall)
 		if !ok {
 			if nGroup > 0 {
 				return b.errf(item.P, "select item %d must be an aggregate (only the first %d items may be GROUP BY columns)", i+1, nGroup)
@@ -418,7 +420,7 @@ func (b *binder) bindSelectList() error {
 	return b.checkDistinctOutputNames()
 }
 
-func (b *binder) bindAggregate(call FuncCall, alias string) (plan.AggSpec, error) {
+func (b *binder) bindAggregate(call syntax.FuncCall, alias string) (plan.AggSpec, error) {
 	var spec plan.AggSpec
 	kind := strings.ToUpper(call.Name)
 	switch kind {
@@ -467,10 +469,10 @@ func (b *binder) bindProjection() error {
 		}
 		name := item.Alias
 		if name == "" {
-			if c, ok := item.E.(ColRef); ok {
+			if c, ok := item.E.(syntax.ColRef); ok {
 				name = c.Name
 			} else {
-				name = RenderExpr(item.E)
+				name = syntax.Render(item.E)
 			}
 		}
 		b.spec.Output = append(b.spec.Output, plan.OutputCol{Name: name, E: e})
@@ -520,189 +522,23 @@ func (b *binder) bindOrderLimit() error {
 	return nil
 }
 
-// bindExpr lowers an AST expression onto the shared expr nodes with the
-// same type rules as expr.Parse: booleans are Int64, the integer kinds
-// interoperate in comparisons and arithmetic, Char only compares with
-// Char, and LIKE needs a Char operand.
-func (b *binder) bindExpr(e Expr) (expr.Expr, error) {
-	switch v := e.(type) {
-	case ColRef:
-		i, err := b.resolveCol(v)
-		if err != nil {
-			return nil, err
-		}
-		c := b.combinedColumn(i)
-		return expr.Col{Index: i, Name: c.Name, K: c.Kind}, nil
-	case IntLit:
-		return expr.IntConst(v.V), nil
-	case StrLit:
-		return expr.StrConst(v.V), nil
-	case DateLit:
-		return expr.DateConst(v.Days), nil
-	case Cmp:
-		l, err := b.bindExpr(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindExpr(v.R)
-		if err != nil {
-			return nil, err
-		}
-		if !kindsComparable(l.Kind(), r.Kind()) {
-			return nil, b.errf(v.P, "cannot compare %s (%s) with %s (%s)",
-				l.Kind(), l, r.Kind(), r)
-		}
-		return expr.Cmp{Op: cmpOpOf(v.Op), L: l, R: r}, nil
-	case Logical:
-		terms := make([]expr.Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			bt, err := b.bindExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			if bt.Kind() != schema.Int64 {
-				return nil, b.errf(t.Pos(), "%s operand must be boolean, got %s (%s)",
-					v.Op, bt.Kind(), bt)
-			}
-			terms[i] = bt
-		}
-		if v.Op == "OR" {
-			return expr.Or{Terms: terms}, nil
-		}
-		return expr.And{Terms: terms}, nil
-	case Not:
-		inner, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		if inner.Kind() != schema.Int64 {
-			return nil, b.errf(v.E.Pos(), "NOT operand must be boolean, got %s (%s)",
-				inner.Kind(), inner)
-		}
-		return expr.Not{E: inner}, nil
-	case Arith:
-		l, err := b.bindExpr(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindExpr(v.R)
-		if err != nil {
-			return nil, err
-		}
-		if !kindNumeric(l.Kind()) || !kindNumeric(r.Kind()) {
-			return nil, b.errf(v.P, "arithmetic needs numeric operands, got %s and %s",
-				l.Kind(), r.Kind())
-		}
-		return expr.Arith{Op: arithOpOf(v.Op), L: l, R: r}, nil
-	case Between:
-		// Desugars to the half-open pair, the range form the
-		// interval-aware selectivity estimator recognizes.
-		l, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := b.bindExpr(v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := b.bindExpr(v.Hi)
-		if err != nil {
-			return nil, err
-		}
-		if !kindsComparable(l.Kind(), lo.Kind()) || !kindsComparable(l.Kind(), hi.Kind()) {
-			return nil, b.errf(v.P, "cannot compare %s (%s) with BETWEEN bounds %s and %s",
-				l.Kind(), l, lo.Kind(), hi.Kind())
-		}
-		var out expr.Expr = expr.And{Terms: []expr.Expr{
-			expr.Cmp{Op: expr.GE, L: l, R: lo},
-			expr.Cmp{Op: expr.LE, L: l, R: hi},
-		}}
-		if v.Negate {
-			out = expr.Not{E: out}
-		}
-		return out, nil
-	case Like:
-		l, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		if l.Kind() != schema.Char {
-			return nil, b.errf(v.P, "LIKE needs a CHAR operand, got %s (%s)", l.Kind(), l)
-		}
-		var out expr.Expr = expr.LikePrefix{E: l, Prefix: strings.TrimSuffix(v.Pattern, "%")}
-		if v.Negate {
-			out = expr.Not{E: out}
-		}
-		return out, nil
-	case CaseExpr:
-		cond, err := b.bindExpr(v.Cond)
-		if err != nil {
-			return nil, err
-		}
-		if cond.Kind() != schema.Int64 {
-			return nil, b.errf(v.Cond.Pos(), "CASE condition must be boolean, got %s (%s)",
-				cond.Kind(), cond)
-		}
-		then, err := b.bindExpr(v.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := b.bindExpr(v.Else)
-		if err != nil {
-			return nil, err
-		}
-		if then.Kind() != els.Kind() && !(kindNumeric(then.Kind()) && kindNumeric(els.Kind())) {
-			return nil, b.errf(v.P, "CASE branches disagree: THEN is %s, ELSE is %s",
-				then.Kind(), els.Kind())
-		}
-		return expr.Case{Cond: cond, Then: then, Else: els}, nil
-	case FuncCall:
-		return nil, b.errf(v.P,
-			"%s is only allowed at the top of a select item", strings.ToUpper(v.Name))
-	default:
-		return nil, b.errf(e.Pos(), "unsupported expression node %T", e)
+// bindExpr lowers an expression through expr.Bind, the one copy of
+// the language's kind rules, resolving names against the combined row.
+func (b *binder) bindExpr(e syntax.Expr) (expr.Expr, error) {
+	out, err := expr.Bind(e, b.column)
+	var se *syntax.Error
+	if errors.As(err, &se) {
+		return nil, b.errf(se.Pos, "%s", se.Msg)
 	}
+	return out, err
 }
 
-func cmpOpOf(op string) expr.CmpOp {
-	switch op {
-	case "=":
-		return expr.EQ
-	case "<>", "!=":
-		return expr.NE
-	case "<":
-		return expr.LT
-	case "<=":
-		return expr.LE
-	case ">":
-		return expr.GT
-	default:
-		return expr.GE
+// column is the binder's expr.Resolver: a column of the combined row.
+func (b *binder) column(c syntax.ColRef) (expr.Col, error) {
+	i, err := b.resolveCol(c)
+	if err != nil {
+		return expr.Col{}, err
 	}
-}
-
-func arithOpOf(op string) expr.ArithOp {
-	switch op {
-	case "+":
-		return expr.Add
-	case "-":
-		return expr.Sub
-	case "*":
-		return expr.Mul
-	default:
-		return expr.Div
-	}
-}
-
-// kindsComparable mirrors expr's comparison rule: the integer-valued
-// kinds interoperate, Char only compares with Char.
-func kindsComparable(a, b schema.Kind) bool {
-	if a == schema.Char || b == schema.Char {
-		return a == b
-	}
-	return true
-}
-
-func kindNumeric(k schema.Kind) bool {
-	return k == schema.Int32 || k == schema.Int64 || k == schema.Date
+	col := b.combinedColumn(i)
+	return expr.Col{Index: i, Name: col.Name, K: col.Kind}, nil
 }

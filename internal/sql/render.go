@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"smartssd/internal/expr"
+	"smartssd/internal/expr/syntax"
 )
 
 // Render serializes a statement to its canonical form: uppercase
@@ -23,7 +23,7 @@ func Render(stmt *SelectStmt) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		renderExpr(&b, item.E)
+		syntax.WriteExpr(&b, item.E)
 		if item.Alias != "" {
 			b.WriteString(" AS ")
 			b.WriteString(item.Alias)
@@ -39,12 +39,12 @@ func Render(stmt *SelectStmt) string {
 			b.WriteString(" JOIN ")
 			b.WriteString(j.Table.Name)
 			b.WriteString(" ON ")
-			renderExpr(&b, j.On)
+			syntax.WriteExpr(&b, j.On)
 		}
 	}
 	if stmt.Where != nil {
 		b.WriteString(" WHERE ")
-		renderExpr(&b, stmt.Where)
+		syntax.WriteExpr(&b, stmt.Where)
 	}
 	if len(stmt.GroupBy) > 0 {
 		b.WriteString(" GROUP BY ")
@@ -52,7 +52,7 @@ func Render(stmt *SelectStmt) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			renderColRef(&b, c)
+			syntax.WriteExpr(&b, c)
 		}
 	}
 	if len(stmt.OrderBy) > 0 {
@@ -75,96 +75,4 @@ func Render(stmt *SelectStmt) string {
 		fmt.Fprintf(&b, " LIMIT %d", stmt.Limit)
 	}
 	return b.String()
-}
-
-// RenderExpr serializes one expression in the canonical form; the
-// binder uses it to name unaliased computed output columns.
-func RenderExpr(e Expr) string {
-	var b strings.Builder
-	renderExpr(&b, e)
-	return b.String()
-}
-
-func renderExpr(b *strings.Builder, e Expr) {
-	switch v := e.(type) {
-	case ColRef:
-		renderColRef(b, v)
-	case IntLit:
-		fmt.Fprintf(b, "%d", v.V)
-	case StrLit:
-		fmt.Fprintf(b, "'%s'", v.V)
-	case DateLit:
-		fmt.Fprintf(b, "DATE '%s'", expr.FormatDate(v.Days))
-	case Cmp:
-		op := v.Op
-		if op == "!=" {
-			op = "<>"
-		}
-		b.WriteByte('(')
-		renderExpr(b, v.L)
-		fmt.Fprintf(b, " %s ", op)
-		renderExpr(b, v.R)
-		b.WriteByte(')')
-	case Logical:
-		b.WriteByte('(')
-		for i, t := range v.Terms {
-			if i > 0 {
-				fmt.Fprintf(b, " %s ", v.Op)
-			}
-			renderExpr(b, t)
-		}
-		b.WriteByte(')')
-	case Not:
-		b.WriteString("NOT ")
-		renderExpr(b, v.E)
-	case Arith:
-		b.WriteByte('(')
-		renderExpr(b, v.L)
-		fmt.Fprintf(b, " %s ", v.Op)
-		renderExpr(b, v.R)
-		b.WriteByte(')')
-	case Between:
-		b.WriteByte('(')
-		renderExpr(b, v.E)
-		if v.Negate {
-			b.WriteString(" NOT")
-		}
-		b.WriteString(" BETWEEN ")
-		renderExpr(b, v.Lo)
-		b.WriteString(" AND ")
-		renderExpr(b, v.Hi)
-		b.WriteByte(')')
-	case Like:
-		b.WriteByte('(')
-		renderExpr(b, v.E)
-		if v.Negate {
-			b.WriteString(" NOT")
-		}
-		fmt.Fprintf(b, " LIKE '%s')", v.Pattern)
-	case CaseExpr:
-		b.WriteString("CASE WHEN ")
-		renderExpr(b, v.Cond)
-		b.WriteString(" THEN ")
-		renderExpr(b, v.Then)
-		b.WriteString(" ELSE ")
-		renderExpr(b, v.Else)
-		b.WriteString(" END")
-	case FuncCall:
-		b.WriteString(strings.ToUpper(v.Name))
-		b.WriteByte('(')
-		if v.Star || v.Arg == nil {
-			b.WriteByte('*')
-		} else {
-			renderExpr(b, v.Arg)
-		}
-		b.WriteByte(')')
-	}
-}
-
-func renderColRef(b *strings.Builder, c ColRef) {
-	if c.Table != "" {
-		b.WriteString(c.Table)
-		b.WriteByte('.')
-	}
-	b.WriteString(c.Name)
 }
