@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"strings"
 
 	"smartssd/internal/expr/syntax"
@@ -169,4 +170,23 @@ func comparable(a, b schema.Kind) bool {
 
 func numeric(k schema.Kind) bool {
 	return k == schema.Int32 || k == schema.Int64 || k == schema.Date
+}
+
+// CheckAggregate is the rule for the argument of an aggregate that folds
+// values (SUM, MIN, MAX): it must be numeric. name is the aggregate as
+// the caller spells it.
+func CheckAggregate(name string, e Expr) error {
+	if !numeric(e.Kind()) {
+		return fmt.Errorf("%s needs a numeric argument, got %s (%s)", name, e.Kind(), e)
+	}
+	return nil
+}
+
+// CheckAssign is the rule for SET col = e: the integer kinds mix, as in
+// comparisons, and a CHAR column takes only CHAR.
+func CheckAssign(col schema.Column, e Expr) error {
+	if !comparable(col.Kind, e.Kind()) {
+		return fmt.Errorf("cannot assign %s (%s) to %s column %s", e.Kind(), e, col.Kind, col.Name)
+	}
+	return nil
 }

@@ -336,7 +336,8 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 			if u.Column == "" {
 				return nil, fmt.Errorf("serve: set %d: missing column", i)
 			}
-			if s.ColumnIndex(u.Column) < 0 {
+			ci := s.ColumnIndex(u.Column)
+			if ci < 0 {
 				return nil, fmt.Errorf("serve: set %d: unknown column %q", i, u.Column)
 			}
 			if u.Expr == "" {
@@ -346,6 +347,9 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 				return nil, fmt.Errorf("serve: set %d: expr longer than %d bytes", i, MaxExprLen)
 			}
 			e, err := expr.Parse(s, u.Expr)
+			if err == nil {
+				err = expr.CheckAssign(s.Column(ci), e)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("serve: set %d: %w", i, err)
 			}
@@ -392,6 +396,9 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 				return nil, fmt.Errorf("serve: agg %d: expr longer than %d bytes", i, MaxExprLen)
 			}
 			spec.E, err = expr.Parse(s, a.Expr)
+			if err == nil {
+				err = expr.CheckAggregate(a.Kind, spec.E)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("serve: agg %d: %w", i, err)
 			}

@@ -695,6 +695,50 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestAppliesKindRules holds the JSON fields to the SQL
+// binder's kind rules. Before they shared them, SUM or MAX of a CHAR
+// column decoded and answered 0 on every backend, and a SET that
+// stored a CHAR value into an integer column (or the reverse) committed
+// zeros or blanks through the log.
+func TestDecodeRequestAppliesKindRules(t *testing.T) {
+	e, cl := newBackends(t)
+	s, err := New(Config{Workers: 1}, e, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, target := range []string{"engine", "cluster"} {
+		for _, kind := range []string{"sum", "min", "max"} {
+			body := fmt.Sprintf(`{"table":"lineitem","target":%q,"aggs":[{"kind":%q,"expr":"l_returnflag"}]}`, target, kind)
+			_, err := DecodeRequest(s, []byte(body))
+			if err == nil || !strings.Contains(err.Error(), kind+" needs a numeric argument") {
+				t.Errorf("%s: err = %v, want %q", body, err, kind+" needs a numeric argument")
+			}
+		}
+	}
+	set := func(col, e string) string {
+		return fmt.Sprintf(`{"table":"lineitem","target":"cluster","predicate":"l_quantity < 10",`+
+			`"update":[{"column":%q,"expr":%q}]}`, col, e)
+	}
+	for _, body := range []string{set("l_quantity", "l_returnflag"), set("l_returnflag", "l_quantity"), set("l_returnflag", "'A' = 'A'")} {
+		if _, err := DecodeRequest(s, []byte(body)); err == nil || !strings.Contains(err.Error(), "cannot assign") {
+			t.Errorf("%s: err = %v, want a cannot-assign error", body, err)
+		}
+	}
+	// The integer kinds mix, and CHAR takes CHAR.
+	for _, body := range []string{
+		set("l_quantity", "l_discount + l_shipdate"),
+		set("l_shipdate", "l_quantity"),
+		set("l_returnflag", "'A'"),
+		set("l_returnflag", "CASE WHEN l_quantity < 5 THEN l_returnflag ELSE 'N' END"),
+		`{"table":"lineitem","aggs":[{"kind":"max","expr":"l_shipdate"},{"kind":"sum","expr":"l_quantity < 5"}]}`,
+	} {
+		if _, err := DecodeRequest(s, []byte(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+}
+
 func TestDecodeRequestOutputProjection(t *testing.T) {
 	e, cl := newBackends(t)
 	s, err := New(Config{Workers: 1}, e, cl)

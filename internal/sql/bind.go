@@ -448,8 +448,8 @@ func (b *binder) bindAggregate(call syntax.FuncCall, alias string) (plan.AggSpec
 		if err != nil {
 			return spec, err
 		}
-		if e.Kind() == schema.Char {
-			return spec, b.errf(call.Arg.Pos(), "%s needs a numeric argument, got %s (%s)", kind, e.Kind(), e)
+		if err := expr.CheckAggregate(kind, e); err != nil {
+			return spec, b.errf(call.Arg.Pos(), "%v", err)
 		}
 		spec.E = e
 	}
