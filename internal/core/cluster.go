@@ -68,6 +68,9 @@ type Cluster struct {
 	// replicaFiles[name][i][j] is partition i's j'th extra copy,
 	// resident on device (i+1+j)%n.
 	replicaFiles map[string][][]*heap.File
+	// replicated marks the tables Replicate filled: every device holds
+	// the whole table, not one partition of it.
+	replicated map[string]bool
 	// stats holds per-table column ranges observed during Load and
 	// Replicate (see stats.go); the SQL planner's selectivity estimator
 	// reads them through TableStats.
@@ -95,6 +98,7 @@ func NewCluster(n int, params ssd.Params, cost device.CostModel) (*Cluster, erro
 		tables:       make(map[string][]*heap.File),
 		replicas:     1,
 		replicaFiles: make(map[string][][]*heap.File),
+		replicated:   make(map[string]bool),
 		stats:        make(map[string][]ColumnStats),
 	}
 	for i := 0; i < n; i++ {
@@ -288,7 +292,9 @@ func (c *Cluster) Load(name string, next func() (schema.Tuple, bool)) error {
 
 // Replicate copies generated tuples to every partition in full — for
 // small build-side tables every worker needs locally (the parallel-DBMS
-// broadcast join).
+// broadcast join). A query driven by a replicated table still splits
+// its scan n ways: partition i is the i'th page range of the full copy
+// it runs on (see ladder).
 func (c *Cluster) Replicate(name string, gen func() func() (schema.Tuple, bool)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -320,6 +326,7 @@ func (c *Cluster) Replicate(name string, gen func() func() (schema.Tuple, bool))
 		}
 	}
 	c.stats[name] = acc.cols
+	c.replicated[name] = true
 	for _, d := range c.devices {
 		d.ResetTiming()
 	}
@@ -414,15 +421,15 @@ func (c *Cluster) fansOut(pages int64) bool {
 // partitionRun is one partition's share of a cluster run: its ladder,
 // decided before anything executes, and what running it produced.
 type partitionRun struct {
-	devs   []int          // candidate devices, first choice first
-	copies []*heap.File   // the partition copy resident on each
-	tried  int            // ladder rungs attempted so far
-	dev    int            // device that produced rows; -1 until one does
-	rows   []schema.Tuple // that device's partial result
-	end    time.Duration  // and its completion time
-	reason string         // fault class that lost the first rung
-	cause  error          // last device fault seen
-	err    error          // a non-fault error, which fails the whole run
+	devs   []int             // candidate devices, first choice first
+	copies []device.TableRef // the partition's extent on each
+	tried  int               // ladder rungs attempted so far
+	dev    int               // device that produced rows; -1 until one does
+	rows   []schema.Tuple    // that device's partial result
+	end    time.Duration     // and its completion time
+	reason string            // fault class that lost the first rung
+	cause  error             // last device fault seen
+	err    error             // a non-fault error, which fails the whole run
 }
 
 // RunRouted is Run with replica routing: route (when non-nil) picks
@@ -458,18 +465,10 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	n := len(c.devices)
 	parts := make([]partitionRun, n)
 	var pages int64
-	reps := c.replicaFiles[q.Table]
 	for i := range parts {
 		p := &parts[i]
 		p.dev = -1
-		p.devs = []int{i}
-		p.copies = []*heap.File{files[i]}
-		if len(reps) > i {
-			for j, rf := range reps[i] {
-				p.devs = append(p.devs, (i+1+j)%n)
-				p.copies = append(p.copies, rf)
-			}
-		}
+		p.devs, p.copies = c.ladder(q.Table, files, i)
 		// Rotate the chosen candidate to the front; the rest keep their
 		// chained order behind it as the failover ladder.
 		if route != nil {
@@ -483,7 +482,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 				}
 			}
 		}
-		pages += p.copies[0].Pages()
+		pages += p.copies[0].Pages
 		if buildFiles != nil {
 			pages += buildFiles[p.devs[0]].Pages()
 		}
@@ -494,9 +493,9 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	climb := func(i, limit int) {
 		p := &parts[i]
 		for p.dev < 0 && p.err == nil && p.tried < limit {
-			dev, f := p.devs[p.tried], p.copies[p.tried]
+			dev, ref := p.devs[p.tried], p.copies[p.tried]
 			p.tried++
-			rows, end, err := c.runtimes[dev].RunPartial(lowerPartition(q, f, dev, buildFiles))
+			rows, end, err := c.runtimes[dev].RunPartial(lowerPartition(q, ref, dev, buildFiles))
 			switch {
 			case err == nil:
 				p.dev, p.rows, p.end = dev, rows, end
@@ -585,7 +584,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	if len(q.Aggs) > 0 {
 		var out *schema.Schema // types the group columns; nil when there are none
 		if len(q.GroupBy) > 0 {
-			out = lowerPartition(q, files[0], 0, buildFiles).OutputSchema()
+			out = lowerPartition(q, parts[0].copies[0], 0, buildFiles).OutputSchema()
 		}
 		res.Rows = mergeAggRows(q.Aggs, out, len(q.GroupBy), partials...)
 		sortGroups(res.Rows, out, len(q.GroupBy))
@@ -600,11 +599,36 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	return res, nil
 }
 
-// lowerPartition builds the in-device program for one partition file
+// ladder lists where partition i of the named table can run: its
+// primary device, then the devices of its chained replicas, and the
+// partition's extent on each. Every device holds a replicated table in
+// full, so there partition i is the i'th of n page ranges of the copy
+// it runs on, and the n partitions scan the table once.
+func (c *Cluster) ladder(name string, files []*heap.File, i int) ([]int, []device.TableRef) {
+	n := len(files)
+	devs, refs := []int{i}, []device.TableRef{device.RefOf(files[i])}
+	if reps := c.replicaFiles[name]; len(reps) > i {
+		for j, rf := range reps[i] {
+			devs = append(devs, (i+1+j)%n)
+			refs = append(refs, device.RefOf(rf))
+		}
+	}
+	if c.replicated[name] {
+		for r, d := range devs {
+			ref := device.RefOf(files[d])
+			lo, hi := ref.Pages*int64(i)/int64(n), ref.Pages*int64(i+1)/int64(n)
+			ref.StartLBA, ref.Pages = ref.StartLBA+lo, hi-lo
+			refs[r] = ref
+		}
+	}
+	return devs, refs
+}
+
+// lowerPartition builds the in-device program for one partition extent
 // running on worker w (the build side uses w's local replicated copy).
-func lowerPartition(q ClusterQuery, f *heap.File, w int, buildFiles []*heap.File) device.Query {
+func lowerPartition(q ClusterQuery, ref device.TableRef, w int, buildFiles []*heap.File) device.Query {
 	dq := device.Query{
-		Table:   device.RefOf(f),
+		Table:   ref,
 		Filter:  q.Filter,
 		Output:  q.Output,
 		Aggs:    q.Aggs,
@@ -615,7 +639,7 @@ func lowerPartition(q ClusterQuery, f *heap.File, w int, buildFiles []*heap.File
 		dq.Join = &device.JoinSpec{
 			Build:    device.RefOf(bf),
 			BuildKey: bf.Schema().MustColumnIndex(q.Join.BuildKey),
-			ProbeKey: f.Schema().MustColumnIndex(q.Join.ProbeKey),
+			ProbeKey: ref.Schema.MustColumnIndex(q.Join.ProbeKey),
 		}
 	}
 	return dq
@@ -671,7 +695,8 @@ func (c *Cluster) Explain(q ClusterQuery) (string, error) {
 	}
 	out := fmt.Sprintf("cluster plan: %d partitions of %s, one in-device program each\n",
 		len(files), q.Table)
-	out += "per-partition device plan:\n" + lowerPartition(q, files[0], 0, buildFiles).Explain()
+	_, refs := c.ladder(q.Table, files, 0)
+	out += "per-partition device plan:\n" + lowerPartition(q, refs[0], 0, buildFiles).Explain()
 	merge := "concatenate partition rows"
 	switch {
 	case len(q.Aggs) > 0 && len(q.GroupBy) > 0:

@@ -121,6 +121,11 @@ func (c *Cluster) Update(table string, filter expr.Expr, sets []SetClause) (int6
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
+	if c.replicated[table] {
+		// Each device holds every row, so updating each copy as a
+		// partition would count every row once per device.
+		return 0, 0, fmt.Errorf("core: cluster table %q is replicated; updates need a partitioned table", table)
+	}
 	if err := c.ensureTxnLocked(); err != nil {
 		return 0, 0, err
 	}
