@@ -8,10 +8,9 @@ import (
 	"smartssd/internal/schema"
 )
 
-// Resolver maps a column reference to the column it names, or fails
-// with a *syntax.Error at the reference. Each front end brings its own:
-// one schema for Parse, the joined row of a statement for the SQL
-// binder.
+// Resolver maps a column reference to the column it names, or fails.
+// Each front end brings its own: one schema for Parse, the joined row
+// of a statement for the SQL binder.
 type Resolver func(syntax.ColRef) (Col, error)
 
 // Bind lowers a parsed expression onto expression nodes, resolving
@@ -28,8 +27,8 @@ type Resolver func(syntax.ColRef) (Col, error)
 // interval-aware selectivity estimator recognizes, NOT BETWEEN and NOT
 // LIKE to a Not over it. Aggregate calls never bind here: only a SQL
 // select item may be one, and the statement binder lifts it first.
-// Every error is a *syntax.Error at the first token of the offending
-// node.
+// Bind's own errors are *syntax.Error values at the offending node's
+// Pos; a resolver's errors pass through unchanged.
 func Bind(n syntax.Expr, resolve Resolver) (Expr, error) {
 	switch v := n.(type) {
 	case syntax.ColRef:

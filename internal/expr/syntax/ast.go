@@ -2,12 +2,14 @@ package syntax
 
 // The AST mirrors the source text, not the execution plan: BETWEEN and
 // NOT LIKE stay themselves (they desugar during binding), identifiers
-// keep their written spelling, and every node carries the byte offset
-// of its first token so binding errors can point back into the input.
+// keep their written spelling, and every node carries a byte offset so
+// binding errors can point back into the input.
 
 // Expr is one parsed expression node.
 type Expr interface {
-	// Pos reports the byte offset of the node's first token.
+	// Pos reports the byte offset of the node's operator for a
+	// comparison, arithmetic, BETWEEN or LIKE, of its first term for an
+	// AND/OR chain, and of its first token otherwise.
 	Pos() int
 	exprNode()
 }
