@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -48,8 +47,7 @@ func Parse(s *schema.Schema, src string) (Expr, error) {
 			return Col{Index: i, Name: col.Name, K: col.Kind}, nil
 		})
 	}
-	var se *syntax.Error
-	if errors.As(err, &se) {
+	if se, ok := err.(*syntax.Error); ok {
 		return nil, fmt.Errorf("expr: parse %q at offset %d: %s", src, se.Pos, se.Msg)
 	}
 	return e, err

@@ -89,7 +89,7 @@ func (p *Parser) End(what string) error {
 // Keyword reports whether the current token is the given keyword
 // (an identifier compared case-insensitively).
 func (p *Parser) Keyword(kw string) bool {
-	return p.Tok.Kind == TokIdent && strings.EqualFold(p.Tok.Text, kw)
+	return p.Tok.Kind == TokIdent && isFold(p.Tok.Text, kw)
 }
 
 // ExpectKeyword consumes kw or fails.
@@ -119,11 +119,17 @@ func (p *Parser) Name() bool {
 
 func hasFold(words []string, word string) bool {
 	for _, w := range words {
-		if strings.EqualFold(word, w) {
+		if isFold(word, w) {
 			return true
 		}
 	}
 	return false
+}
+
+// isFold is strings.EqualFold for an ASCII keyword kw: a word of
+// another length cannot match, so most identifiers fail on the length.
+func isFold(word, kw string) bool {
+	return len(word) == len(kw) && strings.EqualFold(word, kw)
 }
 
 func (p *Parser) enter() error {
@@ -156,7 +162,7 @@ func (p *Parser) parseLogical(op string, operand func() (Expr, error)) (Expr, er
 	if !p.Keyword(op) {
 		return e, nil
 	}
-	terms := []Expr{e}
+	terms := append(make([]Expr, 0, 4), e)
 	for p.Keyword(op) {
 		p.Next()
 		r, err := operand()
@@ -351,7 +357,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if p.Reserved(p.Tok.Text) {
 			return nil, p.Errorf("unexpected keyword %s", p.Tok)
 		}
-		c, err := p.ParseColRef()
+		name := p.Tok.Text
+		p.Next()
+		c, err := p.qualify(ColRef{Name: name, P: pos})
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -526,8 +525,7 @@ func (b *binder) bindOrderLimit() error {
 // the language's kind rules, resolving names against the combined row.
 func (b *binder) bindExpr(e syntax.Expr) (expr.Expr, error) {
 	out, err := expr.Bind(e, b.column)
-	var se *syntax.Error
-	if errors.As(err, &se) {
+	if se, ok := err.(*syntax.Error); ok {
 		return nil, b.errf(se.Pos, "%s", se.Msg)
 	}
 	return out, err

@@ -21,7 +21,6 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -55,8 +54,7 @@ func Parse(src string) (*SelectStmt, error) {
 	if err == nil {
 		err = p.End("statement")
 	}
-	var se *syntax.Error
-	if errors.As(err, &se) {
+	if se, ok := err.(*syntax.Error); ok {
 		return nil, fmt.Errorf("sql: parse %q at offset %d: %s", src, se.Pos, se.Msg)
 	}
 	return stmt, err
