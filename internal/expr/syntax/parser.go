@@ -106,15 +106,15 @@ func (p *Parser) Op(text string) bool {
 	return p.Tok.Kind == TokOp && p.Tok.Text == text
 }
 
-// Reserved reports whether word is a keyword of this parser's grammar.
-func (p *Parser) Reserved(word string) bool {
+// isReserved reports whether word is a keyword of this parser's grammar.
+func (p *Parser) isReserved(word string) bool {
 	return hasFold(keywords, word) || hasFold(p.reserved, word)
 }
 
 // Name reports whether the current token can name a column, table or
 // output: an identifier that is not reserved.
 func (p *Parser) Name() bool {
-	return p.Tok.Kind == TokIdent && !p.Reserved(p.Tok.Text)
+	return p.Tok.Kind == TokIdent && !p.isReserved(p.Tok.Text)
 }
 
 func hasFold(words []string, word string) bool {
@@ -354,7 +354,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return p.parseCall(name, pos)
 	case p.Tok.Kind == TokIdent:
-		if p.Reserved(p.Tok.Text) {
+		if p.isReserved(p.Tok.Text) {
 			return nil, p.Errorf("unexpected keyword %s", p.Tok)
 		}
 		name := p.Tok.Text

@@ -147,7 +147,7 @@ func TestReservedWords(t *testing.T) {
 		t.Errorf("ParseColRef of a keyword: err = %v", err)
 	}
 	p = NewParser("BETWEEN")
-	if p.Name() || !p.Reserved("between") || p.Reserved("sum") {
+	if p.Name() || !p.isReserved("between") || p.isReserved("sum") {
 		t.Error("keyword checks disagree with the keyword list")
 	}
 	if err := p.ExpectKeyword("between"); err != nil || p.Tok.Kind != TokEOF {
