@@ -14,6 +14,7 @@ import (
 	"smartssd/internal/schema"
 	"smartssd/internal/sim"
 	"smartssd/internal/ssd"
+	"smartssd/internal/tpch"
 )
 
 func smallSSD() ssd.Params {
@@ -193,6 +194,37 @@ func TestAutoModePushesSelectiveScanDown(t *testing.T) {
 	}
 	if !res.Decision.Pushdown {
 		t.Fatal("decision not recorded")
+	}
+}
+
+// TestAutoModeRunsQ1OnTheHost checks that the planner prices the
+// grouping charge the device program books per surviving row. TPC-H
+// Q1's grouped full scan saturates the embedded CPU and is measurably
+// faster on the host, so Auto must place it there and take exactly the
+// forced host run's time.
+func TestAutoModeRunsQ1OnTheHost(t *testing.T) {
+	for _, sf := range []float64{0.01, 0.02} {
+		e, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		li := tpch.LineitemSchema()
+		loadGenerated(t, e, "lineitem", li, page.PAX, tpch.NumLineitem(sf), tpch.NewLineitemGen(sf, 1).Next)
+		spec := QuerySpec{
+			Table:          "lineitem",
+			Filter:         tpch.Q1Predicate(),
+			GroupBy:        tpch.Q1GroupBy(),
+			Aggs:           tpch.Q1Aggregates(),
+			EstSelectivity: 0.98,
+		}
+		auto := mustRun(t, e, spec, Auto)
+		host := mustRun(t, e, spec, ForceHost)
+		if auto.Placement != RanHost {
+			t.Errorf("SF %g: auto ran Q1 on %v (%s), want host", sf, auto.Placement, auto.Decision)
+		}
+		if auto.Elapsed != host.Elapsed {
+			t.Errorf("SF %g: auto took %v, forced host %v", sf, auto.Elapsed, host.Elapsed)
+		}
 	}
 }
 

@@ -35,8 +35,8 @@ func RefOf(f *heap.File) TableRef {
 	}
 }
 
-// maxTuples bounds the table's row count by its extent: every page full.
-func (t TableRef) maxTuples() int64 {
+// MaxTuples bounds the table's row count by its extent: every page full.
+func (t TableRef) MaxTuples() int64 {
 	return t.Pages * int64(page.Capacity(t.Schema, t.Layout))
 }
 
@@ -108,15 +108,99 @@ func (q Query) validate() error {
 	return nil
 }
 
-// memoryEstimate reports the DRAM bytes the program needs: the join
-// hash table (entries plus tuple payloads) and the result staging
-// buffer. This is the grant checked at OPEN.
-func (q Query) memoryEstimate(c CostModel) int64 {
+// MemoryNeed reports the DRAM bytes the program needs: the join hash
+// table (entries plus tuple payloads) and the result staging buffer.
+// This is the grant checked at OPEN.
+func (q Query) MemoryNeed(c CostModel) int64 {
 	var need int64 = DefaultChunkBytes * 2 // double-buffered result staging
 	if q.Join != nil {
-		need += q.Join.Build.maxTuples() * (int64(q.Join.Build.Schema.TupleWidth()) + c.HashEntryBytes)
+		need += q.Join.Build.MaxTuples() * (int64(q.Join.Build.Schema.TupleWidth()) + c.HashEntryBytes)
 	}
 	return need
+}
+
+// Counts are the totals a program's embedded-CPU charge is linear in.
+type Counts struct {
+	// Pages and Rows are the scanned table's pages and the rows on them.
+	Pages, Rows int64
+	// Evaluated counts filter evaluations: one per row, or one per
+	// (row, build row) pair when joining.
+	Evaluated int64
+	// Survived counts the rows (pairs, when joining) that pass the
+	// probe and filter.
+	Survived int64
+	// Groups counts the aggregate rows emitted at the end.
+	Groups int64
+	// BuildPages and BuildRows are the join build side's pages and the
+	// rows on them.
+	BuildPages, BuildRows int64
+}
+
+func (n *Counts) add(d Counts) {
+	n.Pages += d.Pages
+	n.Rows += d.Rows
+	n.Evaluated += d.Evaluated
+	n.Survived += d.Survived
+	n.Groups += d.Groups
+	n.BuildPages += d.BuildPages
+	n.BuildRows += d.BuildRows
+}
+
+// Cycles reports the embedded-CPU cycles q's program charges for the
+// totals n under cost model c. Every charge a run books is this formula
+// over that charge's own counts, and the formula is linear, so fed a
+// run's totals it equals exactly what the run charged. The planner
+// feeds it estimated counts.
+func (q Query) Cycles(c CostModel, n Counts) int64 {
+	return q.unitCycles(c).cycles(n)
+}
+
+// unitCycles are a query's per-unit embedded-CPU charges, one per
+// Counts field: row is the per-tuple loop plus, when joining, the
+// probe; survivor is the work for each row that survives probe and
+// filter (folded into the aggregates, its group hashed, or projected
+// and staged); group stages one final aggregate row.
+type unitCycles struct {
+	page, row, filter, survivor, group, buildPage, buildRow int64
+}
+
+func (q Query) unitCycles(c CostModel) unitCycles {
+	l := q.Table.Layout
+	emit := c.ResultTupleCycles + int64(q.OutputSchema().TupleWidth())*c.ResultByteCycles
+	u := unitCycles{
+		page:   c.PageCycles,
+		row:    c.TupleCycles,
+		filter: c.exprTupleCycles(q.Filter, l),
+		group:  emit,
+	}
+	if q.Join != nil {
+		u.row += c.valueCycles(l) + c.HashProbeCycles
+		u.buildPage = c.PageCycles
+		u.buildRow = c.TupleCycles + c.valueCycles(q.Join.Build.Layout) + c.HashBuildCycles
+	}
+	if len(q.Aggs) == 0 {
+		for _, o := range q.Output {
+			u.survivor += c.exprTupleCycles(o.E, l)
+		}
+		u.survivor += emit
+		return u
+	}
+	for _, a := range q.Aggs {
+		u.survivor += c.exprTupleCycles(a.E, l) + c.AggCycles
+	}
+	if len(q.GroupBy) > 0 {
+		// Hash the group key into the DRAM group table: one extra value
+		// access per group column plus a probe-priced lookup.
+		u.survivor += int64(len(q.GroupBy))*c.valueCycles(l) + c.HashProbeCycles
+	}
+	return u
+}
+
+// cycles is the charge for n: the same linear sum for one page, one
+// build page, one emitted group, or a whole run's totals.
+func (u unitCycles) cycles(n Counts) int64 {
+	return n.Pages*u.page + n.Rows*u.row + n.Evaluated*u.filter + n.Survived*u.survivor +
+		n.Groups*u.group + n.BuildPages*u.buildPage + n.BuildRows*u.buildRow
 }
 
 // OutputSchema reports the schema of the program's result rows.
@@ -203,9 +287,9 @@ type chunk struct {
 type result struct {
 	chunks []chunk
 	end    time.Duration
-	// matched counts the rows that passed the probe and filter: folded
-	// into the aggregates, or projected and staged.
-	matched int64
+	// counts are the run's totals, each charged through Query.Cycles's
+	// formula.
+	counts Counts
 }
 
 // stager accumulates result rows and ships chunks over the host link as
@@ -272,17 +356,17 @@ func (q Query) compile(cache map[string]*expr.BatchExpr) (kernels, error) {
 // order, into a batch over the combined row, which the aggregate and
 // output kernels then run over. A filter over build columns runs on
 // the gathered pairs, any other before the gather. The page's cycles
-// are computed closed-form from its row, pair and survivor counts: the
-// per-page DeviceCompute charge is an order-free sum, the total a
-// per-row loop would charge.
+// are computed closed-form from its row, pair and survivor counts
+// (unitCycles): the per-page DeviceCompute charge is an order-free
+// sum, the total a per-row loop would charge.
 type program struct {
-	dev  *ssd.Device
-	cost CostModel
-	q    Query
-	k    kernels
-	np   int // scanned columns; build columns follow in the combined row
-	res  *result
-	st   *stager
+	dev   *ssd.Device
+	units unitCycles
+	q     Query
+	k     kernels
+	np    int // scanned columns; build columns follow in the combined row
+	res   *result
+	st    *stager
 
 	cols      *page.Columns // the scanned table's columns
 	join      *plan.Join    // nil without a join
@@ -293,12 +377,6 @@ type program struct {
 	groups     *plan.Groups    // nil for a projection
 	proj       *plan.Projector // nil for an aggregate
 
-	// Closed-form charges: filterCycles per filter evaluation,
-	// probeCycles per probed row, perRow per row that survives probe
-	// and filter (folded into the aggregates, its group hashed, or
-	// projected and staged).
-	filterCycles, probeCycles, perRow, emitRowCycles int64
-
 	outRow schema.Tuple
 }
 
@@ -306,17 +384,15 @@ type program struct {
 // over the internal path, charge the embedded CPU, stage and ship
 // results. It returns the staged chunks and the completion time.
 func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, k kernels) (*result, error) {
-	outSchema := q.OutputSchema()
 	p := &program{
-		dev:  dev,
-		cost: cost,
-		q:    q,
-		k:    k,
-		np:   q.Table.Schema.NumColumns(),
-		res:  &result{},
-		st:   &stager{dev: dev, rowBytes: int64(outSchema.TupleWidth()), limit: chunkBytes},
+		dev:   dev,
+		units: q.unitCycles(cost),
+		q:     q,
+		k:     k,
+		np:    q.Table.Schema.NumColumns(),
+		res:   &result{},
+		st:    &stager{dev: dev, rowBytes: int64(q.OutputSchema().TupleWidth()), limit: chunkBytes},
 	}
-	p.chargeConstants()
 	// used are the combined columns the program reads: the scanned ones
 	// decode from each page, the build ones from the build side.
 	used := q.usedColumns()
@@ -357,7 +433,7 @@ func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, k ke
 	if p.groups != nil {
 		aggRow := make(schema.Tuple, p.groups.Width())
 		for i := 0; i < p.groups.Rows(); i++ {
-			if done := dev.DeviceCompute(p.emitRowCycles, scanEnd); done > scanEnd {
+			if done := p.charge(Counts{Groups: 1}, scanEnd); done > scanEnd {
 				scanEnd = done
 			}
 			p.groups.Row(i, aggRow)
@@ -371,30 +447,11 @@ func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, k ke
 	return p.res, nil
 }
 
-func (p *program) chargeConstants() {
-	c, q := p.cost, p.q
-	valueCycles := c.valueCycles(q.Table.Layout)
-	p.filterCycles = c.exprTupleCycles(q.Filter, q.Table.Layout)
-	p.probeCycles = valueCycles + c.HashProbeCycles
-	p.emitRowCycles = c.ResultTupleCycles + p.st.rowBytes*c.ResultByteCycles
-	if len(q.Aggs) == 0 {
-		for _, o := range q.Output {
-			p.perRow += int64(o.E.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(o.E)))*valueCycles
-		}
-		p.perRow += p.emitRowCycles
-		return
-	}
-	for _, a := range q.Aggs {
-		if a.E != nil {
-			p.perRow += int64(a.E.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(a.E)))*valueCycles
-		}
-	}
-	p.perRow += int64(len(q.Aggs)) * c.AggCycles
-	if len(q.GroupBy) > 0 {
-		// Hash the group key into the DRAM group table: one extra value
-		// access per group column plus a probe-priced lookup.
-		p.perRow += int64(len(q.GroupBy))*valueCycles + c.HashProbeCycles
-	}
+// charge books n's cycles on the embedded CPU at ready, adds n to the
+// run's totals, and reports when the work completes.
+func (p *program) charge(n Counts, ready time.Duration) time.Duration {
+	p.res.counts.add(n)
+	return p.dev.DeviceCompute(p.units.cycles(n), ready)
 }
 
 // loadBuild reads the build table over the internal path into device
@@ -408,8 +465,7 @@ func (p *program) loadBuild(used []int) error {
 	// the column vectors once instead of walking their doubling ladders
 	// (wall clock only; nothing is charged).
 	p.join = &plan.Join{}
-	p.join.Reset(b.Schema, b.Layout, j.BuildKey, int(b.maxTuples()), p.np, used, false)
-	keyAccess := p.cost.valueCycles(b.Layout)
+	p.join.Reset(b.Schema, b.Layout, j.BuildKey, int(b.MaxTuples()), p.np, used, false)
 	r := page.ReaderFor(b.Schema)
 	for pg := int64(0); pg < b.Pages; pg++ {
 		data, at, err := p.dev.FetchPage(b.StartLBA+pg, 0)
@@ -419,9 +475,7 @@ func (p *program) loadBuild(used []int) error {
 		if err := r.Bind(data); err != nil {
 			return fmt.Errorf("build page %d: %w", pg, err)
 		}
-		n := int64(r.Count())
-		cycles := p.cost.PageCycles + n*(p.cost.TupleCycles+keyAccess+p.cost.HashBuildCycles)
-		if done := p.dev.DeviceCompute(cycles, at); done > p.buildDone {
+		if done := p.charge(Counts{BuildPages: 1, BuildRows: int64(r.Count())}, at); done > p.buildDone {
 			p.buildDone = done
 		}
 		p.join.AddPage(r)
@@ -460,20 +514,6 @@ func (p *program) scan() (time.Duration, error) {
 	return scanEnd, nil
 }
 
-// pageCycles reports a page's charge: page setup and per-tuple
-// iteration, a probe per row when joining, filter evaluations, and
-// the work for each surviving row.
-func (p *program) pageCycles(rows, evaluated, survived int64) int64 {
-	cycles := p.cost.PageCycles + rows*p.cost.TupleCycles + survived*p.perRow
-	if p.join != nil {
-		cycles += rows * p.probeCycles
-	}
-	if p.q.Filter != nil {
-		cycles += evaluated * p.filterCycles
-	}
-	return cycles
-}
-
 // runPage runs one bound page through the program and reports when its
 // compute completes. A join evaluates its filter once per pair.
 func (p *program) runPage(r *page.Reader, ready time.Duration) time.Duration {
@@ -492,8 +532,7 @@ func (p *program) runPage(r *page.Reader, ready time.Duration) time.Duration {
 			sel = p.k.filter.Select(b, sel)
 		}
 	}
-	done := p.dev.DeviceCompute(p.pageCycles(n, evaluated, int64(len(sel))), ready)
-	p.res.matched += int64(len(sel))
+	done := p.charge(Counts{Pages: 1, Rows: n, Evaluated: evaluated, Survived: int64(len(sel))}, ready)
 	if p.groups != nil {
 		p.groups.FoldBatch(b, sel, p.k.root)
 		return done

@@ -183,7 +183,7 @@ func (r *Runtime) Open(q Query) (SessionID, error) {
 	if r.dev.Injector().Dead() || r.dev.Injector().DeviceFail() {
 		return 0, fmt.Errorf("%w: open refused", ErrDeviceFailed)
 	}
-	need := q.memoryEstimate(r.cost)
+	need := q.MemoryNeed(r.cost)
 	if need > r.dev.DeviceDRAMBytes() {
 		return 0, fmt.Errorf("%w: program needs %d bytes, device DRAM is %d",
 			ErrGrantDenied, need, r.dev.DeviceDRAMBytes())
@@ -331,18 +331,18 @@ func (r *Runtime) RunQuery(q Query) ([]schema.Tuple, time.Duration, error) {
 // folds nothing in for it. The row is still computed, shipped and
 // charged exactly as under RunQuery.
 func (r *Runtime) RunPartial(q Query) ([]schema.Tuple, time.Duration, error) {
-	rows, end, matched, err := r.run(q)
-	if matched == 0 && len(q.Aggs) > 0 && len(q.GroupBy) == 0 {
+	rows, end, n, err := r.run(q)
+	if n.Survived == 0 && len(q.Aggs) > 0 && len(q.GroupBy) == 0 {
 		rows = nil
 	}
 	return rows, end, err
 }
 
-// run is RunQuery, also reporting how many rows the program matched.
-func (r *Runtime) run(q Query) ([]schema.Tuple, time.Duration, int64, error) {
+// run is RunQuery, also reporting the program's totals.
+func (r *Runtime) run(q Query) ([]schema.Tuple, time.Duration, Counts, error) {
 	id, err := r.Open(q)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, Counts{}, err
 	}
 	defer r.Close(id)
 	var rows []schema.Tuple
@@ -350,14 +350,14 @@ func (r *Runtime) run(q Query) ([]schema.Tuple, time.Duration, int64, error) {
 	for {
 		res, err := r.Get(id)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, Counts{}, err
 		}
 		rows = append(rows, res.Rows...)
 		if res.At > end {
 			end = res.At
 		}
 		if res.Done {
-			return rows, end, r.sessions[id].result.matched, nil
+			return rows, end, r.sessions[id].result.counts, nil
 		}
 	}
 }

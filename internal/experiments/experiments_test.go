@@ -210,14 +210,33 @@ func TestExtQ1GroupedAggregation(t *testing.T) {
 		t.Fatalf("Q1 groups = %d, want 6", rep.Groups)
 	}
 	// Q1 scans everything and touches many columns: the device CPU
-	// saturates hard and the host should win or near-tie — grouped
-	// full-scan aggregation is a poor pushdown candidate, which is
-	// itself a finding the planner must reflect.
+	// saturates hard and the host wins — grouped full-scan aggregation
+	// is a poor pushdown candidate, which is itself a finding the
+	// planner must reflect.
 	if len(rep.Runs) != 2 {
 		t.Fatalf("runs = %d", len(rep.Runs))
 	}
+	if host, dev := rep.Runs[0].Elapsed, rep.Runs[1].Elapsed; host >= dev {
+		t.Errorf("host %v not faster than device %v on Q1", host, dev)
+	}
+	if rep.Chosen != "host" {
+		t.Errorf("planner chose %s for Q1, measured best is host", rep.Chosen)
+	}
 	if !strings.Contains(rep.Render(), "Q1") {
 		t.Error("render missing title")
+	}
+}
+
+// TestPlannerAgreesOnEveryPoint requires the planner's placement to be
+// within 5% of the measured best on every point of the sweep: the
+// Figure 5 selectivities, the grouped Q1 and the joined Q14.
+func TestPlannerAgreesOnEveryPoint(t *testing.T) {
+	rep, err := Planner(goldenOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Agreed != len(rep.Points) {
+		t.Errorf("planner agrees on %d/%d points:\n%s", rep.Agreed, len(rep.Points), rep.Render())
 	}
 }
 

@@ -24,6 +24,9 @@ type Q1Report struct {
 	Runs []Run
 	// Groups is the number of (l_returnflag, l_linestatus) groups.
 	Groups int
+	// Chosen is the planner's placement for the query, "host" or
+	// "device".
+	Chosen string
 }
 
 // ExtQ1 runs TPC-H Q1 host-side and device-side (PAX).
@@ -42,6 +45,10 @@ func ExtQ1(o Options) (Q1Report, error) {
 		GroupBy:        tpch.Q1GroupBy(),
 		Aggs:           tpch.Q1Aggregates(),
 		EstSelectivity: 0.98,
+	}
+	d, err := e.Decide(spec)
+	if err != nil {
+		return Q1Report{}, err
 	}
 	modes := []struct {
 		kind string
@@ -73,7 +80,10 @@ func ExtQ1(o Options) (Q1Report, error) {
 			}
 		}
 	}
-	rep := Q1Report{Groups: len(host.Rows)}
+	rep := Q1Report{Groups: len(host.Rows), Chosen: "host"}
+	if d.Pushdown {
+		rep.Chosen = "device"
+	}
 	for _, r := range []struct {
 		name string
 		res  *core.Result

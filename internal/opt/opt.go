@@ -9,7 +9,10 @@
 //	             cpuCycles / (cores x clock),          (embedded CPU)
 //	             resultBytes / hostLinkBW)             (result shipping)
 //
-// and applies two vetoes from the paper's discussion:
+// where cpuCycles is device.Query.Cycles over estimated counts: the
+// same formula the device program charges, so the CPU term can be
+// wrong only where the counts are. The planner applies two vetoes from
+// the paper's discussion:
 //
 //   - Coherence: if the buffer pool holds dirty pages of any table the
 //     query touches, the device copy is stale and pushdown is incorrect.
@@ -27,8 +30,6 @@ import (
 
 	"smartssd/internal/bufpool"
 	"smartssd/internal/device"
-	"smartssd/internal/expr"
-	"smartssd/internal/page"
 	"smartssd/internal/sim"
 	"smartssd/internal/ssd"
 )
@@ -116,7 +117,7 @@ func (p *Planner) Decide(q device.Query, dev *ssd.Device, pool *bufpool.Pool, es
 	}
 
 	// Veto 2: device DRAM grant.
-	if need := MemoryNeed(q, p.Cost); need > dev.DeviceDRAMBytes() {
+	if need := q.MemoryNeed(p.Cost); need > dev.DeviceDRAMBytes() {
 		return Decision{Pushdown: false,
 			Reason: fmt.Sprintf("hash build needs %d MB, device DRAM is %d MB",
 				need>>20, dev.DeviceDRAMBytes()>>20)}
@@ -150,17 +151,6 @@ func (p *Planner) Decide(q device.Query, dev *ssd.Device, pool *bufpool.Pool, es
 		d.Reason = fmt.Sprintf("host %.1fx cheaper", float64(devCost)/float64(host))
 	}
 	return d
-}
-
-// MemoryNeed reports the device DRAM bytes query q requires (result
-// staging plus the join hash table).
-func MemoryNeed(q device.Query, cost device.CostModel) int64 {
-	var need int64 = device.DefaultChunkBytes * 2
-	if q.Join != nil {
-		buildTuples := q.Join.Build.Pages * int64(page.Capacity(q.Join.Build.Schema, q.Join.Build.Layout))
-		need += buildTuples * (int64(q.Join.Build.Schema.TupleWidth()) + cost.HashEntryBytes)
-	}
-	return need
 }
 
 // hybridEstimate prices the equalizing host+device split: with full
@@ -200,7 +190,6 @@ func (p *Planner) hostEstimate(q device.Query, dev *ssd.Device, cachedFrac float
 func (p *Planner) deviceEstimate(q device.Query, dev *ssd.Device, estSel float64) time.Duration {
 	ps := int64(dev.PageSize())
 	params := dev.Params()
-	c := p.Cost
 
 	// Stage 1: flash to device DRAM over the shared bus.
 	bytes := q.Table.Pages * ps
@@ -209,76 +198,29 @@ func (p *Planner) deviceEstimate(q device.Query, dev *ssd.Device, estSel float64
 	}
 	fetch := params.DMABusRate.ServiceTime(bytes)
 
-	// Stage 2: embedded CPU.
-	perPage := int64(page.Capacity(q.Table.Schema, q.Table.Layout))
-	tuples := q.Table.Pages * perPage
-	var cycles int64
-	cycles += q.Table.Pages * c.PageCycles
-	perTuple := c.TupleCycles
+	// Stage 2: embedded CPU, the program's own charge over estimated
+	// counts: full pages, one filter evaluation per row (one build
+	// match per probe row), estSel of the rows surviving. There is no
+	// group-count estimate, so an aggregate emits one group and a
+	// projection none; the term is one staged row per group, under
+	// 0.01% of Q1's charge.
+	rows := q.Table.MaxTuples()
+	est := device.Counts{Pages: q.Table.Pages, Rows: rows, Evaluated: rows, Survived: int64(float64(rows) * estSel)}
+	if len(q.Aggs) > 0 {
+		est.Groups = 1
+	}
 	if q.Join != nil {
-		perTuple += p.valueCycles(q.Table.Layout) + c.HashProbeCycles
-	}
-	if q.Filter != nil {
-		perTuple += exprCycles(q.Filter, q.Table.Layout, c)
-	}
-	cycles += tuples * perTuple
-	outWidth := int64(q.OutputSchema().TupleWidth())
-	matched := int64(float64(tuples) * estSel)
-	var perMatch int64
-	for _, o := range q.Output {
-		perMatch += exprCycles(o.E, q.Table.Layout, c)
-	}
-	for _, a := range q.Aggs {
-		if a.E != nil {
-			perMatch += exprCycles(a.E, q.Table.Layout, c)
-		}
-		perMatch += c.AggCycles
-	}
-	if len(q.Output) > 0 {
-		perMatch += c.ResultTupleCycles + outWidth*c.ResultByteCycles
-	}
-	cycles += matched * perMatch
-	if q.Join != nil {
-		buildTuples := q.Join.Build.Pages * int64(page.Capacity(q.Join.Build.Schema, q.Join.Build.Layout))
-		cycles += q.Join.Build.Pages*c.PageCycles +
-			buildTuples*(c.TupleCycles+p.valueCycles(q.Join.Build.Layout)+c.HashBuildCycles)
+		est.BuildPages, est.BuildRows = q.Join.Build.Pages, q.Join.Build.MaxTuples()
 	}
 	aggRate := sim.Rate(float64(params.DeviceCPUHz) * float64(params.DeviceCPUCores))
-	compute := aggRate.ServiceTime(cycles)
+	compute := aggRate.ServiceTime(q.Cycles(p.Cost, est))
 
 	// Stage 3: result shipping.
-	var resultBytes int64
+	resultBytes := int64(q.OutputSchema().TupleWidth())
 	if len(q.Output) > 0 {
-		resultBytes = matched * outWidth
-	} else {
-		resultBytes = outWidth
+		resultBytes *= est.Survived
 	}
 	ship := params.Host.EffectiveRate.ServiceTime(resultBytes)
 
-	worst := fetch
-	if compute > worst {
-		worst = compute
-	}
-	if ship > worst {
-		worst = ship
-	}
-	return worst
-}
-
-func (p *Planner) valueCycles(l page.Layout) int64 {
-	if l == page.PAX {
-		return p.Cost.PAXValueCycles
-	}
-	return p.Cost.NSMValueCycles
-}
-
-func exprCycles(e expr.Expr, l page.Layout, c device.CostModel) int64 {
-	if e == nil {
-		return 0
-	}
-	v := c.PAXValueCycles
-	if l != page.PAX {
-		v = c.NSMValueCycles
-	}
-	return int64(e.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(e)))*v
+	return max(fetch, compute, ship)
 }
