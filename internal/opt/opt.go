@@ -80,18 +80,19 @@ func (d Decision) Evidence() string {
 		choice, d.Reason)
 }
 
+// cacheCutoff is the cached input fraction above which host execution
+// is preferred regardless of cost.
+const cacheCutoff = 0.5
+
 // Planner decides host-versus-device execution.
 type Planner struct {
 	// Cost is the embedded-CPU cost model used for device estimates.
 	Cost device.CostModel
-	// CacheCutoff is the cached input fraction above which host
-	// execution is preferred regardless of cost (default 0.5).
-	CacheCutoff float64
 }
 
 // NewPlanner builds a planner over the device cost model.
 func NewPlanner(cost device.CostModel) *Planner {
-	return &Planner{Cost: cost, CacheCutoff: 0.5}
+	return &Planner{Cost: cost}
 }
 
 // Decide estimates both paths for query q on dev. estSel is the
@@ -135,7 +136,7 @@ func (p *Planner) Decide(q device.Query, dev *ssd.Device, pool *bufpool.Pool, es
 			cached += pool.CachedInRange(q.Join.Build.StartLBA, q.Join.Build.Pages)
 		}
 		cachedFrac = float64(cached) / float64(totalPages)
-		if cachedFrac >= p.CacheCutoff {
+		if cachedFrac >= cacheCutoff {
 			return Decision{Pushdown: false,
 				Reason: fmt.Sprintf("%.0f%% of input already cached in buffer pool", 100*cachedFrac)}
 		}
