@@ -11,8 +11,6 @@
 package device
 
 import (
-	"fmt"
-
 	"smartssd/internal/expr"
 	"smartssd/internal/page"
 )
@@ -103,10 +101,4 @@ func (c CostModel) exprTupleCycles(e expr.Expr, l page.Layout) int64 {
 		return 0
 	}
 	return int64(e.Ops())*c.OpCycles + int64(len(expr.DistinctColumns(e)))*c.valueCycles(l)
-}
-
-// String renders the model compactly for reports.
-func (c CostModel) String() string {
-	return fmt.Sprintf("device-cost{page=%d tuple=%d pax=%d nsm=%d op=%d probe=%d}",
-		c.PageCycles, c.TupleCycles, c.PAXValueCycles, c.NSMValueCycles, c.OpCycles, c.HashProbeCycles)
 }

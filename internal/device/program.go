@@ -433,9 +433,7 @@ func runProgram(dev *ssd.Device, cost CostModel, chunkBytes int64, q Query, k ke
 	if p.groups != nil {
 		aggRow := make(schema.Tuple, p.groups.Width())
 		for i := 0; i < p.groups.Rows(); i++ {
-			if done := p.charge(Counts{Groups: 1}, scanEnd); done > scanEnd {
-				scanEnd = done
-			}
+			scanEnd = max(scanEnd, p.charge(Counts{Groups: 1}, scanEnd))
 			p.groups.Row(i, aggRow)
 			p.st.add(aggRow, scanEnd)
 		}
@@ -475,9 +473,7 @@ func (p *program) loadBuild(used []int) error {
 		if err := r.Bind(data); err != nil {
 			return fmt.Errorf("build page %d: %w", pg, err)
 		}
-		if done := p.charge(Counts{BuildPages: 1, BuildRows: int64(r.Count())}, at); done > p.buildDone {
-			p.buildDone = done
-		}
+		p.buildDone = max(p.buildDone, p.charge(Counts{BuildPages: 1, BuildRows: int64(r.Count())}, at))
 		p.join.AddPage(r)
 	}
 	return nil

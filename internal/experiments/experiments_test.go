@@ -219,8 +219,8 @@ func TestExtQ1GroupedAggregation(t *testing.T) {
 	if host, dev := rep.Runs[0].Elapsed, rep.Runs[1].Elapsed; host >= dev {
 		t.Errorf("host %v not faster than device %v on Q1", host, dev)
 	}
-	if rep.Chosen != "host" {
-		t.Errorf("planner chose %s for Q1, measured best is host", rep.Chosen)
+	if rep.Pushdown {
+		t.Error("planner pushes Q1 down; the host is measurably faster")
 	}
 	if !strings.Contains(rep.Render(), "Q1") {
 		t.Error("render missing title")

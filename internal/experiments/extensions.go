@@ -24,9 +24,8 @@ type Q1Report struct {
 	Runs []Run
 	// Groups is the number of (l_returnflag, l_linestatus) groups.
 	Groups int
-	// Chosen is the planner's placement for the query, "host" or
-	// "device".
-	Chosen string
+	// Pushdown reports whether the planner places Q1 on the device.
+	Pushdown bool
 }
 
 // ExtQ1 runs TPC-H Q1 host-side and device-side (PAX).
@@ -80,10 +79,7 @@ func ExtQ1(o Options) (Q1Report, error) {
 			}
 		}
 	}
-	rep := Q1Report{Groups: len(host.Rows), Chosen: "host"}
-	if d.Pushdown {
-		rep.Chosen = "device"
-	}
+	rep := Q1Report{Groups: len(host.Rows), Pushdown: d.Pushdown}
 	for _, r := range []struct {
 		name string
 		res  *core.Result

@@ -50,14 +50,18 @@ type Decision struct {
 	HybridCost time.Duration
 }
 
+// choice names the chosen backend.
+func (d Decision) choice() string {
+	if d.Pushdown {
+		return "device"
+	}
+	return "host"
+}
+
 // String renders the decision for EXPLAIN output.
 func (d Decision) String() string {
-	mode := "host"
-	if d.Pushdown {
-		mode = "device"
-	}
 	return fmt.Sprintf("%s (host est %.2fs, device est %.2fs): %s",
-		mode, d.HostCost.Seconds(), d.DeviceCost.Seconds(), d.Reason)
+		d.choice(), d.HostCost.Seconds(), d.DeviceCost.Seconds(), d.Reason)
 }
 
 // Evidence renders the decision's full cost ledger for EXPLAIN output,
@@ -65,19 +69,15 @@ func (d Decision) String() string {
 // DRAM grant, warm cache) carry no costs; the veto reason is the whole
 // story.
 func (d Decision) Evidence() string {
-	choice := "host"
-	if d.Pushdown {
-		choice = "device"
-	}
 	if d.HostCost == 0 && d.DeviceCost == 0 {
-		return fmt.Sprintf("  veto: %s\n  choice: %s\n", d.Reason, choice)
+		return fmt.Sprintf("  veto: %s\n  choice: %s\n", d.Reason, d.choice())
 	}
 	return fmt.Sprintf("  host cost:   %.4fs (uncached bytes over host link)\n"+
 		"  device cost: %.4fs (max of flash+DMA fetch, embedded CPU, result shipping)\n"+
 		"  hybrid cost: %.4fs (equalizing split, floored by the internal bus)\n"+
 		"  choice: %s (%s)\n",
 		d.HostCost.Seconds(), d.DeviceCost.Seconds(), d.HybridCost.Seconds(),
-		choice, d.Reason)
+		d.choice(), d.Reason)
 }
 
 // cacheCutoff is the cached input fraction above which host execution
@@ -125,26 +125,31 @@ func (p *Planner) Decide(q device.Query, dev *ssd.Device, pool *bufpool.Pool, es
 	}
 
 	// Veto 3: a warm buffer pool favours the host.
-	var cachedFrac float64
-	totalPages := q.Table.Pages
+	pages := q.Table.Pages
 	if q.Join != nil {
-		totalPages += q.Join.Build.Pages
+		pages += q.Join.Build.Pages
 	}
-	if pool != nil && totalPages > 0 {
+	var cachedFrac float64
+	if pool != nil && pages > 0 {
 		cached := pool.CachedInRange(q.Table.StartLBA, q.Table.Pages)
 		if q.Join != nil {
 			cached += pool.CachedInRange(q.Join.Build.StartLBA, q.Join.Build.Pages)
 		}
-		cachedFrac = float64(cached) / float64(totalPages)
+		cachedFrac = float64(cached) / float64(pages)
 		if cachedFrac >= cacheCutoff {
 			return Decision{Pushdown: false,
 				Reason: fmt.Sprintf("%.0f%% of input already cached in buffer pool", 100*cachedFrac)}
 		}
 	}
 
-	host := p.hostEstimate(q, dev, cachedFrac)
-	devCost := p.deviceEstimate(q, dev, estSel)
-	d := Decision{HostCost: host, DeviceCost: devCost, HybridCost: p.hybridEstimate(q, dev, host, devCost)}
+	// The host path moves the uncached input over the host link (the
+	// paper's 550 MB/s straw); host CPU is never the bottleneck on the
+	// testbed for this query class.
+	params := dev.Params()
+	bytes := pages * int64(dev.PageSize())
+	host := params.Host.EffectiveRate.ServiceTime(int64(float64(bytes) * (1 - cachedFrac)))
+	devCost := p.deviceEstimate(q, params, bytes, estSel)
+	d := Decision{HostCost: host, DeviceCost: devCost, HybridCost: hybridEstimate(params, bytes, host, devCost)}
 	if devCost < host {
 		d.Pushdown = true
 		d.Reason = fmt.Sprintf("device %.1fx cheaper", float64(host)/float64(devCost))
@@ -156,47 +161,20 @@ func (p *Planner) Decide(q device.Query, dev *ssd.Device, pool *bufpool.Pool, es
 
 // hybridEstimate prices the equalizing host+device split: with full
 // costs h and d, splitting fraction f = h/(h+d) to the device makes
-// both sides finish at h*d/(h+d); the shared internal bus floors it.
-func (p *Planner) hybridEstimate(q device.Query, dev *ssd.Device, host, devCost time.Duration) time.Duration {
+// both sides finish at h*d/(h+d); moving the input's bytes over the
+// shared internal bus floors it.
+func hybridEstimate(params ssd.Params, bytes int64, host, devCost time.Duration) time.Duration {
 	if host <= 0 || devCost <= 0 {
 		return 0
 	}
 	combined := time.Duration(float64(host) * float64(devCost) / float64(host+devCost))
-	ps := int64(dev.PageSize())
-	bytes := q.Table.Pages * ps
-	if q.Join != nil {
-		bytes += q.Join.Build.Pages * ps
-	}
-	if floor := dev.Params().DMABusRate.ServiceTime(bytes); floor > combined {
-		combined = floor
-	}
-	return combined
+	return max(combined, params.DMABusRate.ServiceTime(bytes))
 }
 
-// hostEstimate prices the host path: uncached input over the host link
-// (the paper's 550 MB/s straw); host CPU is never the bottleneck on the
-// testbed for this query class.
-func (p *Planner) hostEstimate(q device.Query, dev *ssd.Device, cachedFrac float64) time.Duration {
-	ps := int64(dev.PageSize())
-	bytes := q.Table.Pages * ps
-	if q.Join != nil {
-		bytes += q.Join.Build.Pages * ps
-	}
-	uncached := float64(bytes) * (1 - cachedFrac)
-	return dev.Params().Host.EffectiveRate.ServiceTime(int64(uncached))
-}
-
-// deviceEstimate prices the pushdown path as the max of its three
-// pipeline stages.
-func (p *Planner) deviceEstimate(q device.Query, dev *ssd.Device, estSel float64) time.Duration {
-	ps := int64(dev.PageSize())
-	params := dev.Params()
-
+// deviceEstimate prices the pushdown path over the input's bytes as the
+// max of its three pipeline stages.
+func (p *Planner) deviceEstimate(q device.Query, params ssd.Params, bytes int64, estSel float64) time.Duration {
 	// Stage 1: flash to device DRAM over the shared bus.
-	bytes := q.Table.Pages * ps
-	if q.Join != nil {
-		bytes += q.Join.Build.Pages * ps
-	}
 	fetch := params.DMABusRate.ServiceTime(bytes)
 
 	// Stage 2: embedded CPU, the program's own charge over estimated
