@@ -7,7 +7,6 @@ import (
 
 	"smartssd/internal/expr"
 	"smartssd/internal/heap"
-	"smartssd/internal/nand"
 	"smartssd/internal/page"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
@@ -49,25 +48,10 @@ func drain(next func() (schema.Tuple, bool)) []schema.Tuple {
 	return out
 }
 
-// identityDevice is a device big enough for the identity property's
-// tables in both layouts.
-func identityDevice(t *testing.T) *ssd.Device {
-	t.Helper()
-	p := ssd.DefaultParams()
-	p.Geometry = nand.Geometry{
-		Channels: 8, ChipsPerChannel: 2, BlocksPerChip: 32, PagesPerBlock: 32, PageSize: 8192,
-	}
-	dev, err := ssd.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dev
-}
-
 // expectedCounts computes q's totals from the loaded tuples: pages and
 // rows from the extents, one filter evaluation per row or per
 // (row, build row) pair, and the rows or pairs the filter passes. The
-// group count is the run's result row count, checked separately.
+// caller sets the group count from the run's result rows.
 func expectedCounts(q Query, probe table, build *table) Counts {
 	pages := func(tb table) int64 {
 		c := int64(page.Capacity(tb.f.Schema(), tb.f.Layout()))
@@ -125,11 +109,10 @@ func checkIdentity(t *testing.T, name string, rt *Runtime, q Query, probe table,
 		t.Errorf("%s: run charged %d device-CPU cycles, Cycles(%+v) = %d", name, charged, got, want)
 	}
 	want := expectedCounts(q, probe, build)
-	switch {
-	case len(q.Aggs) > 0:
-		want.Groups = int64(len(rows))
-	case int64(len(rows)) != got.Survived:
-		t.Errorf("%s: projected %d rows, counted %d survivors", name, len(rows), got.Survived)
+	if len(q.Aggs) > 0 {
+		want.Groups = int64(len(rows)) // one result row per emitted group
+	} else if int64(len(rows)) != want.Survived {
+		t.Errorf("%s: projected %d rows, the data passes %d", name, len(rows), want.Survived)
 	}
 	if got != want {
 		t.Errorf("%s: run totals %+v, data implies %+v", name, got, want)
@@ -149,7 +132,7 @@ func TestCyclesIdentityProperty(t *testing.T) {
 	paRows := drain(tpch.NewPartGen(sf, 2).Next)
 	for _, l := range []page.Layout{page.NSM, page.PAX} {
 		t.Run(l.String(), func(t *testing.T) {
-			dev := identityDevice(t)
+			dev := smallDevice(t)
 			var alloc heap.Allocator
 			lineitem := loadTable(t, dev, &alloc, "lineitem", li, l, liRows)
 			part := loadTable(t, dev, &alloc, "part", pa, l, paRows)

@@ -39,7 +39,8 @@ type fixture struct {
 	nS   int
 }
 
-func newFixture(t *testing.T, layout page.Layout, nR, nS int) *fixture {
+// smallDevice is a 64 MB device, enough for every fixture here.
+func smallDevice(t *testing.T) *ssd.Device {
 	t.Helper()
 	p := ssd.DefaultParams()
 	p.Geometry = nand.Geometry{
@@ -49,6 +50,12 @@ func newFixture(t *testing.T, layout page.Layout, nR, nS int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dev
+}
+
+func newFixture(t *testing.T, layout page.Layout, nR, nS int) *fixture {
+	t.Helper()
+	dev := smallDevice(t)
 	var alloc heap.Allocator
 	r, err := heap.Create("R", dev, &alloc, schemaR(), layout, 64)
 	if err != nil {

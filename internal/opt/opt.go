@@ -181,8 +181,8 @@ func (p *Planner) deviceEstimate(q device.Query, params ssd.Params, bytes int64,
 	// counts: full pages, one filter evaluation per row (one build
 	// match per probe row), estSel of the rows surviving. There is no
 	// group-count estimate, so an aggregate emits one group and a
-	// projection none; the term is one staged row per group, under
-	// 0.01% of Q1's charge.
+	// projection none; each group is one staged row, under 0.01% of
+	// Q1's charge.
 	rows := q.Table.MaxTuples()
 	est := device.Counts{Pages: q.Table.Pages, Rows: rows, Evaluated: rows, Survived: int64(float64(rows) * estSel)}
 	if len(q.Aggs) > 0 {
