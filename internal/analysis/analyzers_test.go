@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"smartssd/internal/analysis"
@@ -51,6 +52,33 @@ func TestSuiteNames(t *testing.T) {
 	}
 }
 
+// moduleRun loads the whole module and runs the full suite over it
+// once per test binary: loading and type-checking every package is the
+// expensive part, and one Result carries both the findings
+// TestRepoIsClean checks and the directives TestNoStaleSuppressions
+// audits.
+var moduleRun = sync.OnceValues(func() (*framework.Result, error) {
+	pkgs, err := framework.Load(filepath.Join("..", ".."), "./...")
+	if err != nil {
+		return nil, err
+	}
+	return framework.RunSuite(pkgs, analysis.All())
+})
+
+// moduleResult returns the shared whole-module run, skipping under
+// -short.
+func moduleResult(t *testing.T) *framework.Result {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	res, err := moduleRun()
+	if err != nil {
+		t.Fatalf("running suite over the module: %v", err)
+	}
+	return res
+}
+
 // TestNoStaleSuppressions audits every //lint:allow directive in the
 // module: each must name an analyzer the suite actually runs, and each
 // must have suppressed at least one diagnostic this run. A directive
@@ -58,17 +86,7 @@ func TestSuiteNames(t *testing.T) {
 // next real regression at that site, so this test fails until it is
 // deleted (the same check CI runs via simlint -stale).
 func TestNoStaleSuppressions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	pkgs, err := framework.Load(filepath.Join("..", ".."), "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	res, err := framework.RunSuite(pkgs, analysis.All())
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
+	res := moduleResult(t)
 
 	known := make(map[string]bool)
 	for _, a := range analysis.All() {
@@ -104,18 +122,7 @@ func TestNoStaleSuppressions(t *testing.T) {
 // same check CI's lint step performs. Any finding here means the
 // determinism contract is violated in committed code.
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	pkgs, err := framework.Load(filepath.Join("..", ".."), "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	findings, err := framework.RunAnalyzers(pkgs, analysis.All())
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
-	for _, f := range findings {
+	for _, f := range moduleResult(t).Findings {
 		t.Errorf("%s", f)
 	}
 }

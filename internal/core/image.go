@@ -25,6 +25,16 @@ import (
 
 const imageMagic = "SMARTSSD-IMG-1\n"
 
+// Bounds on the device a decoded image header may ask LoadImage to
+// build. The device's per-page and per-lane state is allocated from the
+// header before any page record is read, so without them a few crafted
+// bytes could demand any amount of memory. Both sit well above the
+// default device's 524,288 pages, 8 channels and 3 cores.
+const (
+	maxImagePages = 1 << 22
+	maxImageLanes = 1 << 10 // flash channels, and device CPU cores
+)
+
 type imageTable struct {
 	Name       string
 	Cols       []schema.Column
@@ -102,6 +112,9 @@ func LoadImage(cfg Config, r io.Reader) (*Engine, error) {
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("core: image header: %w", err)
 	}
+	if err := hdr.check(); err != nil {
+		return nil, fmt.Errorf("core: image header: %w", err)
+	}
 	// The image dictates device geometry and timing, but fault injection
 	// is a run-time choice of the loading caller, not a property of the
 	// stored data.
@@ -141,4 +154,44 @@ func LoadImage(cfg Config, r io.Reader) (*Engine, error) {
 	e.ResetTiming()
 	e.markRunBaseline()
 	return e, nil
+}
+
+// check rejects a header that would make LoadImage panic or allocate
+// without bound: a geometry or lane count past the bounds above, a
+// column list schema.New would refuse, an unknown page layout, or a
+// table extent outside the device.
+func (h *imageHeader) check() error {
+	p := h.Params
+	g := p.Geometry
+	pages := int64(1)
+	for _, n := range []int{g.Channels, g.ChipsPerChannel, g.BlocksPerChip, g.PagesPerBlock} {
+		if n < 1 || int64(n) > maxImagePages/pages {
+			return fmt.Errorf("geometry %+v is not 1 to %d pages", g, maxImagePages)
+		}
+		pages *= int64(n)
+	}
+	if g.Channels > maxImageLanes {
+		return fmt.Errorf("%d flash channels, more than %d", g.Channels, maxImageLanes)
+	}
+	if p.DeviceCPUCores < 1 || p.DeviceCPUCores > maxImageLanes {
+		return fmt.Errorf("%d device CPU cores, want 1 to %d", p.DeviceCPUCores, maxImageLanes)
+	}
+	seen := make(map[string]bool, len(h.Tables))
+	for _, t := range h.Tables {
+		if seen[t.Name] {
+			return fmt.Errorf("table %q listed twice", t.Name)
+		}
+		seen[t.Name] = true
+		if err := schema.Check(t.Cols...); err != nil {
+			return fmt.Errorf("table %q: %w", t.Name, err)
+		}
+		if t.Layout != page.NSM && t.Layout != page.PAX {
+			return fmt.Errorf("table %q: unknown layout %v", t.Name, t.Layout)
+		}
+		if t.StartLBA < 0 || t.Pages < 0 || t.Pages > t.MaxPages || t.MaxPages > pages-t.StartLBA || t.TupleCount < 0 {
+			return fmt.Errorf("table %q: extent of %d/%d pages at LBA %d (%d tuples) does not fit a %d-page device",
+				t.Name, t.Pages, t.MaxPages, t.StartLBA, t.TupleCount, pages)
+		}
+	}
+	return nil
 }

@@ -142,13 +142,13 @@ func checkArtifacts(t *testing.T, traced bool) {
 	}
 }
 
-// TestScalarVectorizedArtifactsByteIdentical pins every `-exp all`
-// artifact — the paper's figures and tables plus every extension
-// experiment — rendered untraced. The golden files were recorded while
-// the tuple-at-a-time executor, the vectorized one and a batch size of 3
-// agreed on every byte, so the one executor left must still render
-// them; only an intentional model change may rewrite them (-update).
-func TestScalarVectorizedArtifactsByteIdentical(t *testing.T) {
+// TestUntracedArtifacts pins every `-exp all` artifact — the paper's
+// figures and tables plus every extension experiment — rendered
+// untraced. The golden files were recorded while the tuple-at-a-time
+// executor, the vectorized one and a batch size of 3 agreed on every
+// byte, so the one executor left must still render them; only an
+// intentional model change may rewrite them (-update).
+func TestUntracedArtifacts(t *testing.T) {
 	checkArtifacts(t, false)
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -31,31 +33,19 @@ func suiteRender(t *testing.T, s *Suite) string {
 // TestSuitePassesByteIdentical is the steady-state guarantee behind
 // BenchmarkSuiteWallClock: a long-lived Suite that reuses its loaded
 // bases, worker clones, and crew across whole passes renders every
-// artifact byte-identically to the one-shot functions, on every pass,
-// at serial and parallel widths alike. A mismatch means ResetForRun
+// artifact byte-identically to the golden files, on every pass, at
+// serial and parallel widths alike. TestUntracedArtifacts pins the
+// one-shot functions to the same files. A mismatch means ResetForRun
 // leaked state from one pass into the next.
 func TestSuitePassesByteIdentical(t *testing.T) {
-	o := goldenOptions()
-	o.Parallelism = 1
-	oneShot := func() string {
-		f3, err := Fig3(o)
+	var want string
+	for _, name := range []string{"fig3", "fig5", "fig7", "table3"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f5, err := Fig5(o, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f7, err := Fig7(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t3, err := Table3(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f3.Render() + f5.Render() + f7.Render() + t3.Render()
-	}()
+		want += string(b)
+	}
 
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par_%d", par), func(t *testing.T) {
@@ -65,9 +55,9 @@ func TestSuitePassesByteIdentical(t *testing.T) {
 			defer s.Close()
 			for pass := 0; pass < 3; pass++ {
 				got := suiteRender(t, s)
-				if got != oneShot {
-					t.Fatalf("pass %d: suite render diverges from one-shot functions\nsuite:\n%s\none-shot:\n%s",
-						pass, got, oneShot)
+				if got != want {
+					t.Fatalf("pass %d: suite render diverges from the golden files\nsuite:\n%s\ngolden:\n%s",
+						pass, got, want)
 				}
 			}
 		})

@@ -77,10 +77,26 @@ type Schema struct {
 	byName  map[string]int
 }
 
-// New builds a Schema from cols. It panics on duplicate or empty column
-// names, or a Char column with a non-positive length, since schemas are
-// program constants and such errors are always bugs.
+// Check reports why cols cannot form a schema: an empty or duplicate
+// column name, an unknown kind, or a Char column with a non-positive
+// length. Callers building a schema from untrusted input (a decoded
+// image) check first; New panics on the same errors.
+func Check(cols ...Column) error {
+	_, err := build(cols)
+	return err
+}
+
+// New builds a Schema from cols. It panics on any error Check reports,
+// since schemas are program constants and such errors are always bugs.
 func New(cols ...Column) *Schema {
+	s, err := build(cols)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+func build(cols []Column) (*Schema, error) {
 	s := &Schema{
 		cols:    append([]Column(nil), cols...),
 		offsets: make([]int, len(cols)),
@@ -89,20 +105,26 @@ func New(cols ...Column) *Schema {
 	off := 0
 	for i, c := range cols {
 		if c.Name == "" {
-			panic(fmt.Sprintf("schema: column %d has empty name", i))
+			return nil, fmt.Errorf("schema: column %d has empty name", i)
 		}
 		if _, dup := s.byName[c.Name]; dup {
-			panic(fmt.Sprintf("schema: duplicate column %q", c.Name))
+			return nil, fmt.Errorf("schema: duplicate column %q", c.Name)
 		}
-		if c.Kind == Char && c.Len <= 0 {
-			panic(fmt.Sprintf("schema: CHAR column %q needs positive Len", c.Name))
+		switch c.Kind {
+		case Int32, Int64, Date:
+		case Char:
+			if c.Len <= 0 {
+				return nil, fmt.Errorf("schema: CHAR column %q needs positive Len", c.Name)
+			}
+		default:
+			return nil, fmt.Errorf("schema: column %q has unknown kind %v", c.Name, c.Kind)
 		}
 		s.byName[c.Name] = i
 		s.offsets[i] = off
 		off += c.Width()
 	}
 	s.width = off
-	return s
+	return s, nil
 }
 
 // NumColumns reports the number of columns.
