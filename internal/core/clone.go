@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"smartssd/internal/bufpool"
 	"smartssd/internal/device"
 	"smartssd/internal/exec"
 	"smartssd/internal/hdd"
@@ -44,10 +43,7 @@ func (e *Engine) Clone() (*Engine, error) {
 		hybridAuto: e.hybridAuto,
 	}
 	ne.host.Cost = e.host.Cost
-	ne.pool = bufpool.New(e.cfg.PoolPages, func(lba int64, data []byte) error {
-		_, err := sdev.WritePage(lba, data, 0)
-		return err
-	})
+	ne.pool = ne.newPool()
 	ne.ssdAlloc.Restore(e.ssdAlloc.Used())
 	ne.hddAlloc.Restore(e.hddAlloc.Used())
 	names := make([]string, 0, len(e.tables))

@@ -14,7 +14,6 @@ import (
 	"smartssd/internal/schema"
 	"smartssd/internal/ssd"
 	"smartssd/internal/txn"
-	"smartssd/internal/wal"
 )
 
 // Cluster realizes the end of the paper's design spectrum (§4.3): "the
@@ -78,8 +77,7 @@ type Cluster struct {
 
 	// Durability layer: a coordinator write-ahead log on device 0,
 	// activated lazily by the first Update (see cluster_update.go).
-	walLog *wal.Log
-	txns   *txn.Manager
+	txns *txn.Manager
 	// dataWrites counts guarded data-page writes across all copies.
 	dataWrites uint64
 }
@@ -194,6 +192,11 @@ func (c *Cluster) CreateTable(name string, s *schema.Schema, l page.Layout, maxP
 	defer c.mu.Unlock()
 	if _, dup := c.tables[name]; dup {
 		return fmt.Errorf("core: cluster table %q already exists", name)
+	}
+	// Device 0, which holds the coordinator log, takes partition 0 and
+	// one replica from each of the replicas-1 partitions chained onto it.
+	if err := checkLogRegion(c.txns.Log(), name, c.allocs[0].Used(), int64(c.replicas)*maxPagesPerDevice); err != nil {
+		return err
 	}
 	files := make([]*heap.File, len(c.devices))
 	for i, d := range c.devices {

@@ -25,6 +25,19 @@ func smallSSD() ssd.Params {
 	return p
 }
 
+// A device with no embedded CPU lanes is a configuration error from
+// either constructor, not a panic.
+func TestConstructorsRejectNonPositiveLanes(t *testing.T) {
+	p := smallSSD()
+	p.DeviceCPUCores = -3
+	if _, err := New(Config{SSD: p}); err == nil || !strings.Contains(err.Error(), "device CPU cores") {
+		t.Errorf("New: %v, want a device CPU cores error", err)
+	}
+	if _, err := NewCluster(2, p, device.DefaultCostModel()); err == nil || !strings.Contains(err.Error(), "device CPU cores") {
+		t.Errorf("NewCluster: %v, want a device CPU cores error", err)
+	}
+}
+
 func widePaddedSchema() *schema.Schema {
 	return schema.New(
 		schema.Column{Name: "id", Kind: schema.Int64},

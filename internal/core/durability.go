@@ -3,37 +3,50 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
-	"smartssd/internal/page"
+	"smartssd/internal/expr"
+	"smartssd/internal/fault"
+	"smartssd/internal/ssd"
 	"smartssd/internal/txn"
 	"smartssd/internal/wal"
 )
 
-// The engine's durability layer: a write-ahead log on a reserved
-// region at the top of the SSD's logical address space, a transaction
-// manager with MVCC staging, and ARIES-style redo recovery. All of it
-// is lazily activated by the first Begin/Update, so read-only engines
-// — and their goldens — are byte-identical to a build without it.
+// The durable write path of both backends: a write-ahead log at the top
+// of an SSD (the engine's, or the cluster's device 0) and redo recovery,
+// both brought up by internal/txn. The first Update activates the log,
+// so read-only engines — and their goldens — never touch it.
 
-// ensureTxn activates the write-ahead log and transaction manager.
-// Activation trims the log region (an engine clone inherits the
-// original's mapped log pages, which describe the original's
-// transactions, not the clone's) and fails if table extents have
-// already grown into the region.
-func (e *Engine) ensureTxn() error {
-	if e.txns != nil {
-		return nil
+// RecoveryReport summarizes one crash recovery.
+type RecoveryReport = txn.RecoveryReport
+
+// SetClause assigns one column from an expression over the row's
+// pre-update values. It is an alias of the transaction layer's clause
+// so callers can stay at the core API.
+type SetClause = txn.SetClause
+
+// guardedWrite is the one way a data page reaches media on the durable
+// write path: the engine's pool flushes and every copy of a cluster
+// commit. It counts the attempt in *writes, and a power cut on inj
+// refuses the write entirely (pages are page-atomic; they never
+// partially reach media).
+func guardedWrite(writes *uint64, inj *fault.Injector, dev *ssd.Device, lba int64, data []byte, ready time.Duration) (time.Duration, error) {
+	*writes++
+	if err := wal.GuardDataWrite(inj); err != nil {
+		return ready, err
 	}
-	start, _ := wal.Region(e.ssd.CapacityPages())
-	if used := e.ssdAlloc.Used(); used > start {
-		return fmt.Errorf("core: WAL region starts at page %d but %d pages are allocated", start, used)
+	return dev.WritePage(lba, data, ready)
+}
+
+// checkLogRegion refuses a table that would take pages more pages
+// beyond used on the device that holds log, reaching into its region.
+// Before activation (log nil) the region is free to take; activation
+// then refuses instead.
+func checkLogRegion(log *wal.Log, name string, used, pages int64) error {
+	if log != nil && used+pages > log.Start() {
+		return fmt.Errorf("core: table %q (%d pages) would overlap the WAL region at page %d",
+			name, pages, log.Start())
 	}
-	log, err := wal.Create(e.ssd, e.ssd.Injector())
-	if err != nil {
-		return err
-	}
-	e.walLog = log
-	e.txns = txn.NewManager(log, e.resolveTxnTable)
 	return nil
 }
 
@@ -44,13 +57,7 @@ func (e *Engine) resolveTxnTable(name string) (txn.Table, error) {
 		return txn.Table{}, err
 	}
 	f := t.File
-	tab := txn.Table{
-		Name:     name,
-		Schema:   f.Schema(),
-		Layout:   f.Layout(),
-		StartLBA: f.StartLBA(),
-		Pages:    f.Pages(),
-	}
+	tab := txn.Table{Name: name, Schema: f.Schema(), Layout: f.Layout(), StartLBA: f.StartLBA(), Pages: f.Pages()}
 	switch t.Target {
 	case OnSSD:
 		tab.Dev = e.ssd
@@ -67,132 +74,82 @@ func (e *Engine) resolveTxnTable(name string) (txn.Table, error) {
 	return tab, nil
 }
 
-// Begin starts a transaction. The first call activates the write-ahead
-// log (see ensureTxn).
-func (e *Engine) Begin() (*txn.Txn, error) {
-	if err := e.ensureTxn(); err != nil {
-		return nil, err
+// Update runs a single-statement transaction: begin, stage the SET
+// clauses on rows matching filter, commit. For SSD-resident tables the
+// commit is durable (WAL flush) before it acknowledges, and the
+// modified pages become dirty host copies in the buffer pool — which
+// makes the device's copies stale and (until FlushPool) vetoes
+// pushdown over the table, exactly the coherence problem §4.3 of the
+// paper discusses. HDD-resident tables take the same code path without
+// the pool-coherence veto: their pages are force-written at commit
+// (the HDD is never imaged, so it has no redo log to replay).
+//
+// The engine's query class has no update pushdown ("queries with any
+// updates cannot be processed in the SSD without appropriate
+// coordination with the DBMS transaction manager"), so Update always
+// executes on the host. It reports the number of rows updated.
+func (e *Engine) Update(table string, filter expr.Expr, sets []SetClause) (int64, error) {
+	if e.txns == nil {
+		m, err := txn.Activate(e.ssd, e.ssd.Injector(), e.ssdAlloc.Used(), e.resolveTxnTable)
+		if err != nil {
+			return 0, fmt.Errorf("core: %w", err)
+		}
+		e.txns = m
 	}
-	return e.txns.Begin(), nil
+	tx := e.txns.Begin()
+	n, err := tx.Update(table, filter, sets)
+	if err != nil {
+		tx.Abort()
+		return 0, err
+	}
+	if _, err := tx.Commit(0); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
-// Txns exposes the transaction manager (nil until the first Begin),
-// for group-commit callers.
-func (e *Engine) Txns() *txn.Manager { return e.txns }
+// FlushPool writes all dirty buffer-pool pages back to the device,
+// restoring coherence so the planner may push down again. With the
+// write-ahead log active this is a checkpoint: once every data page is
+// durable the log is reset (trimmed, epoch bumped).
+func (e *Engine) FlushPool() error {
+	if err := e.pool.FlushAll(); err != nil {
+		return err
+	}
+	if log := e.WAL(); log != nil {
+		return log.Reset()
+	}
+	return nil
+}
 
-// WAL exposes the write-ahead log (nil until the first Begin).
-func (e *Engine) WAL() *wal.Log { return e.walLog }
+// WAL exposes the write-ahead log (nil until the first Update).
+func (e *Engine) WAL() *wal.Log { return e.txns.Log() }
 
 // DurableWrites reports how many guarded durable writes — WAL page
 // writes plus data-page flushes — the engine has attempted. The
 // power-cut sweep uses a fault-free run's count as the bound on
 // meaningful cut points.
-func (e *Engine) DurableWrites() uint64 {
-	n := e.dataWrites
-	if e.walLog != nil {
-		n += e.walLog.Stats().PageWrites
-	}
-	return n
-}
-
-// RecoveryReport summarizes one crash recovery.
-type RecoveryReport struct {
-	// Committed lists recovered transaction ids in commit order.
-	Committed []uint64
-	// UpdatesApplied counts redo after-images installed.
-	UpdatesApplied int
-	// PagesRepaired counts distinct data pages rewritten.
-	PagesRepaired int
-	// LogPages counts valid log pages scanned.
-	LogPages int64
-	// TruncatedTail reports that a torn tail page (the power-cut
-	// artifact) was discarded.
-	TruncatedTail bool
-}
+func (e *Engine) DurableWrites() uint64 { return e.dataWrites + e.WAL().Stats().PageWrites }
 
 // LastRecovery reports the most recent Recover result (nil if Recover
-// never ran or found nothing).
+// never ran).
 func (e *Engine) LastRecovery() *RecoveryReport { return e.lastRecovery }
 
-// Recover replays the write-ahead log: committed transactions' redo
-// after-images are installed onto the device pages, the log is
-// checkpointed, and a fresh transaction manager is adopted. LoadImage
-// calls it automatically, so reloading a crashed engine's image yields
-// exactly the committed-prefix state. Mid-log damage (wal.ErrTornWrite)
-// and record corruption (wal.ErrCorruptRecord) surface as errors —
-// they are never silently replayed.
-//
-// Recovery is idempotent: after-images are absolute, so replaying over
-// pages that already carry them is harmless.
+// Recover replays the write-ahead log onto the device pages and adopts
+// a fresh transaction manager over the checkpointed log (txn.Recover).
+// LoadImage calls it automatically, so reloading a crashed engine's
+// image yields exactly the committed-prefix state.
 func (e *Engine) Recover() (*RecoveryReport, error) {
-	e.ssd.Injector().RestorePower()
-	log, rec, err := wal.Open(e.ssd, e.ssd.Injector())
+	m, rep, err := txn.Recover(e.ssd, e.ssd.Injector(), e.resolveTxnTable)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
-	rep := &RecoveryReport{
-		Committed:     rec.Committed,
-		LogPages:      rec.ValidPages,
-		TruncatedTail: rec.TruncatedTail,
-	}
-	if rec.ValidPages == 0 && !rec.TruncatedTail {
-		// Nothing durable in the region: stay lazily deactivated so
-		// read-only engines (and zero-update images) are untouched.
-		e.lastRecovery = rep
-		return rep, nil
-	}
-
-	// Install committed after-images in LSN order, batching per page.
-	type pageKey struct {
-		table string
-		idx   uint32
-	}
-	repaired := make(map[pageKey][]byte)
-	var order []pageKey
-	for _, u := range rec.CommittedUpdates() {
-		t, err := e.Table(u.Table)
-		if err != nil {
-			return nil, fmt.Errorf("core: recover: redo lsn %d: %w", u.LSN, err)
-		}
-		if int64(u.PageIdx) >= t.File.Pages() {
-			return nil, fmt.Errorf("core: recover: redo lsn %d: page %d beyond %q (%d pages)",
-				u.LSN, u.PageIdx, u.Table, t.File.Pages())
-		}
-		k := pageKey{u.Table, u.PageIdx}
-		buf, ok := repaired[k]
-		if !ok {
-			lba := t.File.StartLBA() + int64(u.PageIdx)
-			data, _, err := e.ssd.ReadPage(lba, 0)
-			if err != nil {
-				return nil, fmt.Errorf("core: recover: read page %d: %w", lba, err)
-			}
-			buf = append([]byte(nil), data...)
-			repaired[k] = buf
-			order = append(order, k)
-		}
-		if err := page.ReplaceTuple(t.File.Schema(), buf, int(u.Slot), u.Tuple); err != nil {
-			return nil, fmt.Errorf("core: recover: redo lsn %d: %w", u.LSN, err)
-		}
-		rep.UpdatesApplied++
-	}
-	for _, k := range order {
-		t, _ := e.Table(k.table)
-		lba := t.File.StartLBA() + int64(k.idx)
-		if err := e.ssd.RestorePage(lba, repaired[k]); err != nil {
-			return nil, fmt.Errorf("core: recover: repair page %d: %w", lba, err)
-		}
-		rep.PagesRepaired++
-	}
-
-	// The redo set is on media: checkpoint the log and adopt it.
-	if err := log.Reset(); err != nil {
-		return nil, err
-	}
-	e.walLog = log
-	e.txns = txn.NewManager(log, e.resolveTxnTable)
-	// Cached pages may predate the repairs; recovery starts cold.
-	e.pool.Clear()
-	e.ResetTiming()
 	e.lastRecovery = rep
+	if m != nil {
+		e.txns = m
+		// Cached pages may predate the repairs; recovery starts cold.
+		e.pool.Clear()
+		e.ResetTiming()
+	}
 	return rep, nil
 }

@@ -27,7 +27,6 @@ import (
 	"smartssd/internal/ssd"
 	"smartssd/internal/trace"
 	"smartssd/internal/txn"
-	"smartssd/internal/wal"
 )
 
 // Target selects the device a table lives on.
@@ -124,9 +123,8 @@ type Engine struct {
 	// stats.go); the SQL planner's selectivity estimator reads them.
 	stats map[string][]ColumnStats
 
-	// Durability layer, activated lazily by the first Begin/Update
-	// (see durability.go). Nil on read-only engines.
-	walLog       *wal.Log
+	// Durability layer, activated lazily by the first Update (see
+	// durability.go). Nil on read-only engines.
 	txns         *txn.Manager
 	lastRecovery *RecoveryReport
 	// dataWrites counts guarded data-page flushes (see DurableWrites).
@@ -180,7 +178,7 @@ var ErrResetDurable = errors.New("core: ResetForRun on engine with durable updat
 // fresh-Clone-then-Run (see TestResetForRunEquivalence); the sweep
 // harness uses it to reuse one clone per worker across sweep points.
 func (e *Engine) ResetForRun() error {
-	if e.walLog != nil {
+	if e.txns != nil {
 		return ErrResetDurable
 	}
 	e.pool.Clear()
@@ -218,19 +216,18 @@ func New(cfg Config) (*Engine, error) {
 		stats:   make(map[string][]ColumnStats),
 		cold:    true,
 	}
-	e.pool = bufpool.New(cfg.PoolPages, func(lba int64, data []byte) error {
-		// Data-page flushes are guarded durable writes: a power-cut
-		// fault refuses the write entirely (pages are page-atomic;
-		// they never partially reach media).
-		e.dataWrites++
-		if err := wal.GuardDataWrite(sdev.Injector()); err != nil {
-			return err
-		}
-		_, err := sdev.WritePage(lba, data, 0)
-		return err
-	})
+	e.pool = e.newPool()
 	e.markRunBaseline()
 	return e, nil
+}
+
+// newPool builds the engine's buffer pool, whose flushes are guarded
+// durable writes.
+func (e *Engine) newPool() *bufpool.Pool {
+	return bufpool.New(e.cfg.PoolPages, func(lba int64, data []byte) error {
+		_, err := guardedWrite(&e.dataWrites, e.ssd.Injector(), e.ssd, lba, data, 0)
+		return err
+	})
 }
 
 // SSD reports the engine's Smart SSD.
@@ -274,9 +271,8 @@ func (e *Engine) CreateTable(name string, s *schema.Schema, l page.Layout, maxPa
 	var err error
 	switch target {
 	case OnSSD:
-		if e.walLog != nil && e.ssdAlloc.Used()+maxPages > e.walLog.Start() {
-			return nil, fmt.Errorf("core: table %q (%d pages) would overlap the WAL region at page %d",
-				name, maxPages, e.walLog.Start())
+		if err := checkLogRegion(e.WAL(), name, e.ssdAlloc.Used(), maxPages); err != nil {
+			return nil, err
 		}
 		f, err = heap.Create(name, e.ssd, &e.ssdAlloc, s, l, maxPages)
 	case OnHDD:

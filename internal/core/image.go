@@ -173,8 +173,8 @@ func (h *imageHeader) check() error {
 	if g.Channels > maxImageLanes {
 		return fmt.Errorf("%d flash channels, more than %d", g.Channels, maxImageLanes)
 	}
-	if p.DeviceCPUCores < 1 || p.DeviceCPUCores > maxImageLanes {
-		return fmt.Errorf("%d device CPU cores, want 1 to %d", p.DeviceCPUCores, maxImageLanes)
+	if p.DeviceCPUCores > maxImageLanes {
+		return fmt.Errorf("%d device CPU cores, more than %d", p.DeviceCPUCores, maxImageLanes)
 	}
 	seen := make(map[string]bool, len(h.Tables))
 	for _, t := range h.Tables {

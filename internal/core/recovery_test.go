@@ -12,7 +12,6 @@ import (
 	"smartssd/internal/page"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
-	"smartssd/internal/ssd"
 	"smartssd/internal/wal"
 )
 
@@ -139,37 +138,51 @@ func TestPowerCutSweepRecoversAckedPrefix(t *testing.T) {
 		t.Fatalf("workload made only %d durable writes; sweep would be trivial", w)
 	}
 
-	for cut := uint64(1); cut <= w; cut++ {
-		cut := cut
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			e := buildSweepEngine(t, fault.Config{Seed: 42, PowerCutAfter: int64(cut)})
-			acked, err := runSweepWorkload(e, ops)
-			if err == nil {
-				t.Fatalf("cut %d of %d never fired", cut, w)
+	// The clone axis runs the workload on a Clone of the armed engine:
+	// its pool must flush through the same guarded, counted write, or
+	// cuts that land on a data-page flush never fire.
+	for _, clone := range []bool{false, true} {
+		for cut := uint64(1); cut <= w; cut++ {
+			name := fmt.Sprintf("cut=%d", cut)
+			if clone {
+				name = "clone/" + name
 			}
-			if !errors.Is(err, wal.ErrPowerLost) {
-				t.Fatalf("workload died of %v, want ErrPowerLost", err)
-			}
-
-			// The crash image is the media exactly as the cut left it:
-			// SaveImage never flushes the pool (RAM is lost).
-			var img bytes.Buffer
-			if err := e.SaveImage(&img); err != nil {
-				t.Fatalf("imaging crashed engine: %v", err)
-			}
-			e2, err := LoadImage(Config{}, &img)
-			if err != nil {
-				t.Fatalf("recovering crashed image: %v", err)
-			}
-			want := answers[acked]
-			for _, mode := range []Mode{ForceHost, ForceDevice} {
-				got := sweepAnswer(t, e2, mode)
-				if !tuplesEqual(got, want) {
-					t.Fatalf("%v after recovery = %v, want acked-prefix (%d commits) answer %v",
-						mode, got, acked, want)
+			t.Run(name, func(t *testing.T) {
+				e := buildSweepEngine(t, fault.Config{Seed: 42, PowerCutAfter: int64(cut)})
+				if clone {
+					var err error
+					if e, err = e.Clone(); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-		})
+				acked, err := runSweepWorkload(e, ops)
+				if err == nil {
+					t.Fatalf("cut %d of %d never fired", cut, w)
+				}
+				if !errors.Is(err, wal.ErrPowerLost) {
+					t.Fatalf("workload died of %v, want ErrPowerLost", err)
+				}
+
+				// The crash image is the media exactly as the cut left it:
+				// SaveImage never flushes the pool (RAM is lost).
+				var img bytes.Buffer
+				if err := e.SaveImage(&img); err != nil {
+					t.Fatalf("imaging crashed engine: %v", err)
+				}
+				e2, err := LoadImage(Config{}, &img)
+				if err != nil {
+					t.Fatalf("recovering crashed image: %v", err)
+				}
+				want := answers[acked]
+				for _, mode := range []Mode{ForceHost, ForceDevice} {
+					got := sweepAnswer(t, e2, mode)
+					if !tuplesEqual(got, want) {
+						t.Fatalf("%v after recovery = %v, want acked-prefix (%d commits) answer %v",
+							mode, got, acked, want)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -422,4 +435,49 @@ func TestClusterUpdateValidation(t *testing.T) {
 	assertCopiesIdentical(t, cl)
 }
 
-var _ = ssd.Params{} // keep the import stable across edits
+// Once the coordinator log is active, no cluster table may reach into
+// device 0's log region — neither its partition 0 nor a replica that
+// the chain places on device 0 — just as the engine refuses it.
+func TestClusterCreateTableRefusesLogRegion(t *testing.T) {
+	for _, copies := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("copies=%d", copies), func(t *testing.T) {
+			cl, err := NewCluster(2, smallSSD(), device.DefaultCostModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.SetReplication(int(copies))
+			if err := cl.CreateTable("fact", widePaddedSchema(), page.NSM, 200/copies); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cl.Update("fact", nil, []SetClause{{Column: "val", E: expr.IntConst(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			start, _ := wal.Region(cl.Device(0).CapacityPages())
+			free := (start - 200) / copies // pages per copy that still fit below the log
+			if err := cl.CreateTable("over", widePaddedSchema(), page.NSM, free+1); err == nil {
+				t.Fatalf("%d-page table accepted with %d pages free below the log", free+1, free)
+			}
+			if err := cl.CreateTable("fits", widePaddedSchema(), page.NSM, free); err != nil {
+				t.Fatalf("%d-page table refused with %d pages free below the log: %v", free, free, err)
+			}
+			if _, _, err := cl.Update("fact", nil, []SetClause{{Column: "val", E: expr.IntConst(2)}}); err != nil {
+				t.Fatalf("update after filling device 0 up to its log: %v", err)
+			}
+		})
+	}
+
+	e, err := New(Config{SSD: smallSSD(), DisableHDD: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateTable("fact", widePaddedSchema(), page.NSM, 200, OnSSD); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Update("fact", nil, []SetClause{{Column: "val", E: expr.IntConst(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	start, _ := wal.Region(e.SSD().CapacityPages())
+	if _, err := e.CreateTable("over", widePaddedSchema(), page.NSM, start-200+1, OnSSD); err == nil {
+		t.Fatal("engine accepted a table reaching into its log region")
+	}
+}

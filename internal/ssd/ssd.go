@@ -165,6 +165,9 @@ func New(params Params) (*Device, error) {
 	if err := params.Geometry.Validate(); err != nil {
 		return nil, err
 	}
+	if params.DeviceCPUCores < 1 {
+		return nil, fmt.Errorf("ssd: %d device CPU cores, want at least 1", params.DeviceCPUCores)
+	}
 	arr, err := nand.NewArray(params.Geometry, params.Timing)
 	if err != nil {
 		return nil, err

@@ -66,6 +66,8 @@ type Table struct {
 	StartLBA int64
 	Pages    int64
 	// Dev reads committed pages and receives force-written commits.
+	// A durable table's Dev also has RestorePage, which recovery
+	// installs repaired pages through (see Recover).
 	Dev Device
 	// Pool, when non-nil, receives committed pages as dirty host
 	// copies (no-force policy; the coherence veto vetoes pushdown
@@ -102,8 +104,14 @@ func NewManager(log *wal.Log, resolve func(name string) (Table, error)) *Manager
 	}
 }
 
-// Log exposes the manager's WAL (for checkpointing and stats).
-func (m *Manager) Log() *wal.Log { return m.log }
+// Log exposes the manager's WAL (for checkpointing and stats). A nil
+// manager — a write path not yet activated — has no log.
+func (m *Manager) Log() *wal.Log {
+	if m == nil {
+		return nil
+	}
+	return m.log
+}
 
 // Begin starts a transaction whose snapshot is the current committed
 // state.

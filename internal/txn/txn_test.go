@@ -23,10 +23,13 @@ type memDev struct {
 	capacity int64
 	pages    map[int64][]byte
 	writes   int
+	reads    map[int64]int // ReadPage calls by LBA
+	restores map[int64]int // RestorePage calls by LBA
 }
 
 func newMemDev(pageSize int, capacity int64) *memDev {
-	return &memDev{pageSize: pageSize, capacity: capacity, pages: make(map[int64][]byte)}
+	return &memDev{pageSize: pageSize, capacity: capacity, pages: make(map[int64][]byte),
+		reads: make(map[int64]int), restores: make(map[int64]int)}
 }
 
 func (d *memDev) PageSize() int         { return d.pageSize }
@@ -35,6 +38,7 @@ func (d *memDev) Mapped(lba int64) bool { _, ok := d.pages[lba]; return ok }
 func (d *memDev) Trim(lba int64) error  { delete(d.pages, lba); return nil }
 
 func (d *memDev) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration, error) {
+	d.reads[lba]++
 	p, ok := d.pages[lba]
 	if !ok {
 		return nil, ready, fmt.Errorf("memdev: read unmapped page %d", lba)
@@ -49,6 +53,12 @@ func (d *memDev) WritePage(lba int64, data []byte, ready time.Duration) (time.Du
 	d.pages[lba] = append([]byte(nil), data...)
 	d.writes++
 	return ready, nil
+}
+
+func (d *memDev) RestorePage(lba int64, data []byte) error {
+	d.restores[lba]++
+	d.pages[lba] = append([]byte(nil), data...)
+	return nil
 }
 
 func testSchema() *schema.Schema {
@@ -105,13 +115,16 @@ func newFixture(t *testing.T, rows int) *fixture {
 		StartLBA: lba, Pages: pages, Dev: dev, Durable: true,
 	}
 	f := &fixture{dev: dev, s: s, tab: tab}
-	f.mgr = NewManager(log, func(name string) (Table, error) {
-		if name != "t" {
-			return Table{}, fmt.Errorf("no table %q", name)
-		}
-		return f.tab, nil
-	})
+	f.mgr = NewManager(log, f.resolve)
 	return f
+}
+
+// resolve knows the fixture's one table, "t".
+func (f *fixture) resolve(name string) (Table, error) {
+	if name != "t" {
+		return Table{}, fmt.Errorf("no table %q", name)
+	}
+	return f.tab, nil
 }
 
 // readVals scans the committed pages and returns val by id.

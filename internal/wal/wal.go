@@ -243,8 +243,14 @@ func (l *Log) Start() int64 { return l.start }
 // Pages reports the log region size in pages.
 func (l *Log) Pages() int64 { return l.pages }
 
-// Stats reports a snapshot of the write counters.
-func (l *Log) Stats() Stats { return l.stats }
+// Stats reports a snapshot of the write counters; a nil log — one never
+// activated — has written nothing.
+func (l *Log) Stats() Stats {
+	if l == nil {
+		return Stats{}
+	}
+	return l.stats
+}
 
 // NextLSN reports the LSN the next appended record will receive.
 func (l *Log) NextLSN() uint64 { return l.nextLSN }
