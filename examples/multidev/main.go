@@ -62,7 +62,7 @@ func main() {
 		}
 	}
 
-	query := smartssd.ClusterQuery{
+	query := smartssd.QuerySpec{
 		Table: "fact",
 		Join:  &smartssd.JoinClause{BuildTable: "dim", BuildKey: "d_key", ProbeKey: "f_dim"},
 		Filter: smartssd.LT(

@@ -2,15 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"smartssd/internal/device"
-	"smartssd/internal/expr"
 	"smartssd/internal/heap"
 	"smartssd/internal/page"
-	"smartssd/internal/plan"
 	"smartssd/internal/schema"
 	"smartssd/internal/ssd"
 	"smartssd/internal/txn"
@@ -167,11 +166,19 @@ func (c *Cluster) resetTimingLocked() {
 func (c *Cluster) Schema(name string) (*schema.Schema, error) {
 	c.catMu.RLock()
 	defer c.catMu.RUnlock()
+	_, s, _, err := c.table(name)
+	return s, err
+}
+
+// table looks name up in the cluster's catalog for resolve: one
+// partition per device, every device a Smart SSD. Callers hold mu or
+// catMu.
+func (c *Cluster) table(name string) ([]*heap.File, *schema.Schema, Target, error) {
 	files, ok := c.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, name)
+		return nil, nil, OnSSD, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
-	return files[0].Schema(), nil
+	return files, files[0].Schema(), OnSSD, nil
 }
 
 // TableNames lists the cluster's tables sorted by name.
@@ -187,9 +194,16 @@ func (c *Cluster) TableNames() []string {
 }
 
 // CreateTable creates one partition of the named table on every device.
-func (c *Cluster) CreateTable(name string, s *schema.Schema, l page.Layout, maxPagesPerDevice int64) error {
+// A failed create allocates nothing and catalogues nothing.
+func (c *Cluster) CreateTable(name string, s *schema.Schema, l page.Layout, maxPagesPerDevice int64) (err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	saved := slices.Clone(c.allocs)
+	defer func() {
+		if err != nil {
+			copy(c.allocs, saved)
+		}
+	}()
 	if _, dup := c.tables[name]; dup {
 		return fmt.Errorf("core: cluster table %q already exists", name)
 	}
@@ -368,22 +382,6 @@ type ClusterResult struct {
 	Executed []int
 }
 
-// ClusterQuery is a pushdown query over a partitioned table; fields
-// mirror QuerySpec with table names resolved against the cluster.
-type ClusterQuery struct {
-	Table  string
-	Join   *JoinClause // build table must be replicated
-	Filter expr.Expr
-	Output []plan.OutputCol
-	Aggs   []plan.AggSpec
-	// GroupBy lists combined-row column indexes to group the aggregates
-	// by. Each worker computes its partition's groups in-device; the
-	// host merges partial groups by key and emits them sorted by the
-	// group-by values, so merged output is independent of partition
-	// count and routing.
-	GroupBy []int
-}
-
 // RouteFunc picks which copy of a partition executes. It receives the
 // partition index and the candidate device indexes holding a copy —
 // the primary first, then its chained replicas — and returns the
@@ -393,8 +391,14 @@ type ClusterQuery struct {
 // moves load between devices without changing the merged rows.
 type RouteFunc func(part int, candidates []int) int
 
-// Run executes the query on every worker and merges the results.
-func (c *Cluster) Run(q ClusterQuery) (*ClusterResult, error) {
+// Run executes the query on every worker and merges the results. The
+// cluster always pushes down, so it never plans and ignores
+// EstSelectivity; ORDER BY and LIMIT are errors. A join's build table
+// must be replicated. With GroupBy, each worker computes its
+// partition's groups in-device; the host merges partial groups by key
+// and emits them sorted by the group-by values, so merged output is
+// independent of partition count and routing.
+func (c *Cluster) Run(q QuerySpec) (*ClusterResult, error) {
 	return c.RunRouted(q, nil)
 }
 
@@ -447,21 +451,11 @@ type partitionRun struct {
 // concurrently — every device still sees the calls it would have seen
 // in order, from a single goroutine, so the result and every device's
 // counters are the same either way.
-func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, error) {
+func (c *Cluster) RunRouted(spec QuerySpec, route RouteFunc) (*ClusterResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	files, ok := c.tables[q.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, q.Table)
-	}
-	var buildFiles []*heap.File
-	if q.Join != nil {
-		buildFiles, ok = c.tables[q.Join.BuildTable]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoTable, q.Join.BuildTable)
-		}
-	}
-	if err := checkGroupBy(q, files, buildFiles); err != nil {
+	q, err := resolve(spec, ForceDevice, false, c.table)
+	if err != nil {
 		return nil, err
 	}
 
@@ -471,7 +465,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	for i := range parts {
 		p := &parts[i]
 		p.dev = -1
-		p.devs, p.copies = c.ladder(q.Table, files, i)
+		p.devs, p.copies = c.ladder(q.Table, q.main, i)
 		// Rotate the chosen candidate to the front; the rest keep their
 		// chained order behind it as the failover ladder.
 		if route != nil {
@@ -486,8 +480,8 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 			}
 		}
 		pages += p.copies[0].Pages
-		if buildFiles != nil {
-			pages += buildFiles[p.devs[0]].Pages()
+		if q.build != nil {
+			pages += q.build[p.devs[0]].Pages()
 		}
 	}
 
@@ -498,7 +492,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 		for p.dev < 0 && p.err == nil && p.tried < limit {
 			dev, ref := p.devs[p.tried], p.copies[p.tried]
 			p.tried++
-			rows, end, err := c.runtimes[dev].RunPartial(lowerPartition(q, ref, dev, buildFiles))
+			rows, end, err := c.runtimes[dev].RunPartial(partitionProgram(&q, ref, dev))
 			switch {
 			case err == nil:
 				p.dev, p.rows, p.end = dev, rows, end
@@ -587,7 +581,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 	if len(q.Aggs) > 0 {
 		var out *schema.Schema // types the group columns; nil when there are none
 		if len(q.GroupBy) > 0 {
-			out = lowerPartition(q, parts[0].copies[0], 0, buildFiles).OutputSchema()
+			out = partitionProgram(&q, parts[0].copies[0], 0).OutputSchema()
 		}
 		res.Rows = mergeAggRows(q.Aggs, out, len(q.GroupBy), partials...)
 		sortGroups(res.Rows, out, len(q.GroupBy))
@@ -627,40 +621,15 @@ func (c *Cluster) ladder(name string, files []*heap.File, i int) ([]int, []devic
 	return devs, refs
 }
 
-// lowerPartition builds the in-device program for one partition extent
-// running on worker w (the build side uses w's local replicated copy).
-func lowerPartition(q ClusterQuery, ref device.TableRef, w int, buildFiles []*heap.File) device.Query {
-	dq := device.Query{
-		Table:   ref,
-		Filter:  q.Filter,
-		Output:  q.Output,
-		Aggs:    q.Aggs,
-		GroupBy: q.GroupBy,
+// partitionProgram is q's in-device program for the partition extent
+// ref on device dev, joined against dev's full copy of the replicated
+// build table.
+func partitionProgram(q *resolved[[]*heap.File], ref device.TableRef, dev int) device.Query {
+	var build *heap.File
+	if q.build != nil {
+		build = q.build[dev]
 	}
-	if q.Join != nil {
-		bf := buildFiles[w]
-		dq.Join = &device.JoinSpec{
-			Build:    device.RefOf(bf),
-			BuildKey: bf.Schema().MustColumnIndex(q.Join.BuildKey),
-			ProbeKey: ref.Schema.MustColumnIndex(q.Join.ProbeKey),
-		}
-	}
-	return dq
-}
-
-// checkGroupBy reports an error unless every group-by column lies in
-// the combined row (probe columns first, then the build table's).
-func checkGroupBy(q ClusterQuery, files, buildFiles []*heap.File) error {
-	n := files[0].Schema().NumColumns()
-	if buildFiles != nil {
-		n += buildFiles[0].Schema().NumColumns()
-	}
-	for _, g := range q.GroupBy {
-		if g < 0 || g >= n {
-			return fmt.Errorf("core: group-by column %d out of the combined row", g)
-		}
-	}
-	return nil
+	return q.lower(ref, build)
 }
 
 // sortGroups orders merged group rows by their leading nGroup columns
@@ -680,26 +649,17 @@ func sortGroups(rows []schema.Tuple, out *schema.Schema, nGroup int) {
 // Explain renders the cluster's execution plan for q — the partition
 // fan-out, one partition's in-device program, and the host-side merge —
 // without executing anything.
-func (c *Cluster) Explain(q ClusterQuery) (string, error) {
+func (c *Cluster) Explain(spec QuerySpec) (string, error) {
 	c.catMu.RLock()
 	defer c.catMu.RUnlock()
-	files, ok := c.tables[q.Table]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoTable, q.Table)
-	}
-	var buildFiles []*heap.File
-	if q.Join != nil {
-		if buildFiles, ok = c.tables[q.Join.BuildTable]; !ok {
-			return "", fmt.Errorf("%w: %q", ErrNoTable, q.Join.BuildTable)
-		}
-	}
-	if err := checkGroupBy(q, files, buildFiles); err != nil {
+	q, err := resolve(spec, ForceDevice, false, c.table)
+	if err != nil {
 		return "", err
 	}
 	out := fmt.Sprintf("cluster plan: %d partitions of %s, one in-device program each\n",
-		len(files), q.Table)
-	_, refs := c.ladder(q.Table, files, 0)
-	out += "per-partition device plan:\n" + lowerPartition(q, refs[0], 0, buildFiles).Explain()
+		len(q.main), q.Table)
+	_, refs := c.ladder(q.Table, q.main, 0)
+	out += "per-partition device plan:\n" + partitionProgram(&q, refs[0], 0).Explain()
 	merge := "concatenate partition rows"
 	switch {
 	case len(q.Aggs) > 0 && len(q.GroupBy) > 0:

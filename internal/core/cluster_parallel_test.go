@@ -97,7 +97,7 @@ func TestClusterParallelDriverMatchesInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := []ClusterQuery{
+		queries := []QuerySpec{
 			{Table: "fact", Filter: filter, Aggs: []plan.AggSpec{sum("val"), {Kind: plan.Count, Name: "cnt"}}},
 			{Table: "fact", Aggs: []plan.AggSpec{sum("val"), {Kind: plan.Max, E: expr.ColRef(s, "id"), Name: "hi"}},
 				GroupBy: []int{s.MustColumnIndex("grp")}},

@@ -93,7 +93,7 @@ func TestClusterReplicatedTableMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cl.Run(ClusterQuery{Table: spec.Table, Filter: spec.Filter, Output: spec.Output,
+			got, err := cl.Run(QuerySpec{Table: spec.Table, Filter: spec.Filter, Output: spec.Output,
 				Aggs: spec.Aggs, GroupBy: spec.GroupBy})
 			if err != nil {
 				t.Fatalf("trial %d (n=%d k=%d dead=%d) query %d: %v", trial, n, k, dead, qi, err)

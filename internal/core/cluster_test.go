@@ -129,7 +129,7 @@ func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 		if err := cl.Load("lineitem", sliceFeeder(rows)); err != nil {
 			t.Fatal(err)
 		}
-		multi, err := cl.Run(ClusterQuery{Table: "lineitem", Filter: filter, Aggs: aggs})
+		multi, err := cl.Run(QuerySpec{Table: "lineitem", Filter: filter, Aggs: aggs})
 		if err != nil {
 			t.Fatalf("trial %d (n=%d k=%d): %v", trial, n, k, err)
 		}
@@ -143,7 +143,7 @@ func TestClusterPropertyMatchesSingleEngine(t *testing.T) {
 			}
 		}
 
-		routed, err := cl.RunRouted(ClusterQuery{Table: "lineitem", Filter: filter, Aggs: aggs},
+		routed, err := cl.RunRouted(QuerySpec{Table: "lineitem", Filter: filter, Aggs: aggs},
 			func(part int, cands []int) int { return cands[rng.Intn(len(cands))] })
 		if err != nil {
 			t.Fatalf("trial %d routed: %v", trial, err)
@@ -249,7 +249,7 @@ func TestEmptySharesContributeNoMinMax(t *testing.T) {
 		}
 		check(fmt.Sprint(mode), res.Rows)
 	}
-	res, err := cl.Run(ClusterQuery{Table: "lineitem", Filter: filter, Aggs: aggs})
+	res, err := cl.Run(QuerySpec{Table: "lineitem", Filter: filter, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEmptySharesContributeNoMinMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = []int64{0, 0, 0}
-	res, err = cl.Run(ClusterQuery{Table: "lineitem", Filter: none, Aggs: aggs})
+	res, err = cl.Run(QuerySpec{Table: "lineitem", Filter: none, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestEmptySharesContributeNoMinMax(t *testing.T) {
 }
 
 // concurrencyFixture is a clean (fault-free) cluster for the race tests.
-func concurrencyFixture(t *testing.T, n, k int) (*Cluster, ClusterQuery) {
+func concurrencyFixture(t *testing.T, n, k int) (*Cluster, QuerySpec) {
 	t.Helper()
 	s := lineitemSchema()
 	cl, err := NewCluster(n, smallSSD(), device.DefaultCostModel())
@@ -296,7 +296,7 @@ func concurrencyFixture(t *testing.T, n, k int) (*Cluster, ClusterQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, ClusterQuery{
+	return cl, QuerySpec{
 		Table:  "lineitem",
 		Filter: filter,
 		Aggs: []plan.AggSpec{

@@ -403,7 +403,7 @@ func TestClusterMatchesSingleEngineAggregate(t *testing.T) {
 	if err := cl.Load("fact", gen()); err != nil {
 		t.Fatal(err)
 	}
-	multi, err := cl.Run(ClusterQuery{Table: "fact", Filter: filter, Aggs: aggs})
+	multi, err := cl.Run(QuerySpec{Table: "fact", Filter: filter, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestClusterJoinWithReplicatedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := s.NumColumns()
-	res, err := cl.Run(ClusterQuery{
+	res, err := cl.Run(QuerySpec{
 		Table: "fact",
 		Join:  &JoinClause{BuildTable: "dim", BuildKey: "d_key", ProbeKey: "grp"},
 		Aggs: []plan.AggSpec{

@@ -161,7 +161,7 @@ func TestHybridFallsBackOnDeviceFault(t *testing.T) {
 
 // clusterFixture builds an n-device cluster over the shared fact
 // fixture with k-way replication and returns it with its query.
-func clusterFixture(t *testing.T, n, k int) (*Cluster, ClusterQuery) {
+func clusterFixture(t *testing.T, n, k int) (*Cluster, QuerySpec) {
 	t.Helper()
 	const rows = 30000
 	p := smallSSD()
@@ -192,7 +192,7 @@ func clusterFixture(t *testing.T, n, k int) (*Cluster, ClusterQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, ClusterQuery{
+	return cl, QuerySpec{
 		Table:  "fact",
 		Filter: expr.Cmp{Op: expr.LT, L: expr.ColRef(s, "val"), R: expr.IntConst(30)},
 		Aggs: []plan.AggSpec{

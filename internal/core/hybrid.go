@@ -1,12 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"smartssd/internal/device"
 	"smartssd/internal/exec"
 	"smartssd/internal/expr"
+	"smartssd/internal/heap"
 	"smartssd/internal/opt"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
@@ -44,24 +44,19 @@ func (e *Engine) hybridSplit(dq device.Query, estSel float64) float64 {
 	return f
 }
 
-// runHybrid executes spec split across device and host. Supported for
-// SSD-resident tables; joins replicate the build to both sides (the
-// build table is small by the query-class assumption).
-func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
-	if t.Target != OnSSD {
-		return nil, errors.New("core: hybrid execution needs an SSD-resident table")
-	}
-	dq, err := e.deviceQuery(spec, t, build)
-	if err != nil {
-		return nil, err
-	}
-	f := e.hybridSplit(dq, spec.EstSelectivity)
-	devPages := int64(float64(t.File.Pages()) * f)
+// runHybrid executes q, an SSD-resident query whose whole-table
+// program is dq, split across device and host. Joins replicate the
+// build to both sides (the build table is small by the query-class
+// assumption).
+func (e *Engine) runHybrid(q *resolved[*heap.File], dq device.Query) (*Result, error) {
+	f := e.hybridSplit(dq, q.EstSelectivity)
+	pages := q.main.Pages()
+	devPages := int64(float64(pages) * f)
 	if devPages < 1 {
 		devPages = 1
 	}
-	if devPages >= t.File.Pages() {
-		devPages = t.File.Pages() - 1
+	if devPages >= pages {
+		devPages = pages - 1
 	}
 
 	// Device side: the leading page range.
@@ -72,7 +67,7 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 		// A device fault on the split's device half degrades the whole
 		// query to the pure host path rather than losing its partition.
 		if isDeviceFault(err) && !e.cfg.DisableFallback {
-			res, herr := e.runHost(spec, t, build)
+			res, herr := e.runHost(q)
 			if herr != nil {
 				return nil, fmt.Errorf("core: host fallback after %v: %w", err, herr)
 			}
@@ -87,18 +82,14 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 
 	// Host side: the trailing range, on the same timeline (its flash
 	// fetches queue against the device program's on the shared bus).
-	hostSpec := spec
-	hostOp, err := e.hostPlan(hostSpec, t, build)
-	if err != nil {
-		return nil, err
-	}
-	setScanRange(hostOp, t.File.Name(), devPages, t.File.Pages()-devPages)
+	hostOp := e.hostPlan(q)
+	setScanRange(hostOp, q.main.Name(), devPages, pages-devPages)
 	ctx := e.newExecCtx()
 	hostRows, hostEnd, err := exec.Collect(ctx, hostOp)
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid host side: %w", err)
 	}
-	if len(spec.Aggs) > 0 && len(spec.GroupBy) == 0 && ctx.Stats.Folded == 0 {
+	if len(q.Aggs) > 0 && len(q.GroupBy) == 0 && ctx.Stats.Folded == 0 {
 		hostRows = nil // a scalar aggregate over no rows has nothing to merge
 	}
 
@@ -114,12 +105,12 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	if hostEnd > res.Elapsed {
 		res.Elapsed = hostEnd
 	}
-	if len(spec.Aggs) > 0 {
-		res.Rows = mergeAggRows(spec.Aggs, res.Schema, len(spec.GroupBy), devRows, hostRows)
+	if len(q.Aggs) > 0 {
+		res.Rows = mergeAggRows(q.Aggs, res.Schema, len(q.GroupBy), devRows, hostRows)
 	} else {
 		res.Rows = append(devRows, hostRows...)
 	}
-	e.finishMetrics(res, t)
+	e.finishMetrics(res, OnSSD)
 	res.Faults.DeviceAttempts = 1
 	res.Elapsed += win.diff(e, &res.Faults)
 	return res, nil

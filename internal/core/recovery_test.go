@@ -308,7 +308,7 @@ func clusterSweepOps() []sweepOp {
 func clusterSweepAnswer(t *testing.T, cl *Cluster) schema.Tuple {
 	t.Helper()
 	s := widePaddedSchema()
-	res, err := cl.Run(ClusterQuery{
+	res, err := cl.Run(QuerySpec{
 		Table: "fact",
 		Aggs: []plan.AggSpec{
 			{Kind: plan.Sum, E: expr.ColRef(s, "val"), Name: "sv"},

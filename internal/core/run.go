@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"smartssd/internal/energy"
 	"smartssd/internal/exec"
 	"smartssd/internal/expr"
+	"smartssd/internal/heap"
 	"smartssd/internal/metrics"
 	"smartssd/internal/opt"
 	"smartssd/internal/plan"
@@ -164,18 +166,9 @@ func (e *Engine) Run(spec QuerySpec, mode Mode) (*Result, error) {
 }
 
 func (e *Engine) runPlaced(spec QuerySpec, mode Mode) (*Result, error) {
-	t, err := e.Table(spec.Table)
+	q, err := resolve(spec, mode, true, e.table)
 	if err != nil {
 		return nil, err
-	}
-	var build *Table
-	if spec.Join != nil {
-		if build, err = e.Table(spec.Join.BuildTable); err != nil {
-			return nil, err
-		}
-		if build.Target != t.Target {
-			return nil, errors.New("core: join across devices is not supported")
-		}
 	}
 
 	if e.cold {
@@ -187,31 +180,25 @@ func (e *Engine) runPlaced(spec QuerySpec, mode Mode) (*Result, error) {
 	e.scratch.Reset()
 
 	// HDD-resident tables have no pushdown path.
-	if t.Target == OnHDD {
-		if mode == ForceDevice || mode == ForceHybrid {
-			return nil, errors.New("core: table on HDD cannot run in the device")
-		}
-		return e.runHost(spec, t, build)
+	if q.target == OnHDD {
+		return e.runHost(&q)
 	}
 
-	dq, err := e.deviceQuery(spec, t, build)
-	if err != nil {
-		return nil, err
-	}
+	dq := q.lower(device.RefOf(q.main), q.build)
 	switch mode {
 	case ForceHost:
-		return e.runHost(spec, t, build)
+		return e.runHost(&q)
 	case ForceHybrid:
-		return e.runHybrid(spec, t, build)
+		return e.runHybrid(&q, dq)
 	case ForceDevice:
-		return e.runDevice(spec, t, build, dq, opt.Decision{Pushdown: true, Reason: "forced"})
+		return e.runDevice(&q, dq, opt.Decision{Pushdown: true, Reason: "forced"})
 	default:
 		d := e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity)
 		// With hybrid planning enabled, a costed (non-vetoed) decision
 		// may route to the split when it beats both pure paths.
 		if e.hybridAuto && d.HostCost > 0 && d.HybridCost > 0 &&
 			d.HybridCost < d.HostCost && d.HybridCost < d.DeviceCost {
-			res, err := e.runHybrid(spec, t, build)
+			res, err := e.runHybrid(&q, dq)
 			if err == nil {
 				res.Decision.HostCost = d.HostCost
 				res.Decision.DeviceCost = d.DeviceCost
@@ -220,9 +207,9 @@ func (e *Engine) runPlaced(spec QuerySpec, mode Mode) (*Result, error) {
 			return res, err
 		}
 		if d.Pushdown {
-			return e.runDevice(spec, t, build, dq, d)
+			return e.runDevice(&q, dq, d)
 		}
-		res, err := e.runHost(spec, t, build)
+		res, err := e.runHost(&q)
 		if err == nil {
 			res.Decision = d
 		}
@@ -230,73 +217,134 @@ func (e *Engine) runPlaced(spec QuerySpec, mode Mode) (*Result, error) {
 	}
 }
 
-// deviceQuery lowers a QuerySpec to the in-device program form.
-func (e *Engine) deviceQuery(spec QuerySpec, t, build *Table) (device.Query, error) {
-	q := device.Query{
-		Table:   device.RefOf(t.File),
-		Filter:  spec.Filter,
-		Output:  spec.Output,
-		Aggs:    spec.Aggs,
-		GroupBy: spec.GroupBy,
+// resolved is a query checked against one backend's catalog: the spec,
+// its main and build tables as that backend holds them (F), where they
+// live, and its join keys as column indexes. The engine holds a table
+// as one heap file, the cluster as one partition per device.
+type resolved[F any] struct {
+	QuerySpec
+	main, build        F // build is the zero F without a join
+	target             Target
+	buildKey, probeKey int
+}
+
+// resolve checks spec against one backend's catalog before anything
+// runs, so that a malformed query is a returned error, never a panic in
+// a lowering or an executor: ORDER BY and LIMIT come only with a host
+// to finish them (sorts), both tables exist on one device, the join
+// keys, group-by columns and every column the filter, outputs and
+// aggregates read lie in the combined row, and an HDD-resident table is
+// not forced into the device. table looks a name up in the catalog;
+// mode is the placement asked for (Auto when only planning).
+func resolve[F any](spec QuerySpec, mode Mode, sorts bool,
+	table func(name string) (F, *schema.Schema, Target, error)) (resolved[F], error) {
+	q := resolved[F]{QuerySpec: spec}
+	if !sorts && (len(spec.OrderBy) > 0 || spec.Limit > 0) {
+		return q, errors.New("core: cluster queries do not support ORDER BY or LIMIT")
 	}
-	if spec.Join != nil {
-		bk := build.File.Schema().ColumnIndex(spec.Join.BuildKey)
-		pk := t.File.Schema().ColumnIndex(spec.Join.ProbeKey)
-		if bk < 0 || pk < 0 {
-			return device.Query{}, fmt.Errorf("core: join keys %q/%q not found",
-				spec.Join.BuildKey, spec.Join.ProbeKey)
+	var s *schema.Schema
+	var err error
+	if q.main, s, q.target, err = table(spec.Table); err != nil {
+		return q, err
+	}
+	width := s.NumColumns()
+	if j := spec.Join; j != nil {
+		var bs *schema.Schema
+		var bt Target
+		if q.build, bs, bt, err = table(j.BuildTable); err != nil {
+			return q, err
 		}
-		q.Join = &device.JoinSpec{Build: device.RefOf(build.File), BuildKey: bk, ProbeKey: pk}
+		if bt != q.target {
+			return q, errors.New("core: join across devices is not supported")
+		}
+		q.buildKey, q.probeKey = bs.ColumnIndex(j.BuildKey), s.ColumnIndex(j.ProbeKey)
+		if q.buildKey < 0 || q.probeKey < 0 {
+			return q, fmt.Errorf("core: join keys %q/%q not found", j.BuildKey, j.ProbeKey)
+		}
+		width += bs.NumColumns()
+	}
+	if len(spec.Output) == 0 && len(spec.Aggs) == 0 {
+		return q, errors.New("core: query has neither output columns nor aggregates")
+	}
+	for _, g := range spec.GroupBy {
+		if g < 0 || g >= width {
+			return q, fmt.Errorf("core: group-by column %d out of the combined row", g)
+		}
+	}
+	if rowWidth(spec.Filter) > width {
+		return q, errors.New("core: filter reads a column out of the combined row")
+	}
+	for _, o := range spec.Output {
+		if rowWidth(o.E) > width {
+			return q, fmt.Errorf("core: output %q reads a column out of the combined row", o.Name)
+		}
+	}
+	for _, a := range spec.Aggs {
+		if rowWidth(a.E) > width {
+			return q, fmt.Errorf("core: aggregate %q reads a column out of the combined row", a.Name)
+		}
+	}
+	if q.target == OnHDD && (mode == ForceDevice || mode == ForceHybrid) {
+		return q, errors.New("core: table on HDD cannot run in the device")
 	}
 	return q, nil
 }
 
-// hostPlan lowers a QuerySpec to a host operator tree. The combined-row
-// column convention matches the device program: when the filter only
-// references main-table columns it is inlined into the scan, exactly
-// the residual-predicate placement SQL Server uses.
-func (e *Engine) hostPlan(spec QuerySpec, t, build *Table) (exec.Operator, error) {
-	np := t.File.Schema().NumColumns()
-	var root exec.Operator
-	scan := &exec.TableScan{File: t.File}
-	if t.Target == OnSSD {
-		scan.Pool = e.pool
+// lower builds q's in-device program: a scan of the extent ref, joined
+// against build, the build table's copy on the device that runs it.
+func (q *resolved[F]) lower(ref device.TableRef, build *heap.File) device.Query {
+	dq := device.Query{
+		Table:   ref,
+		Filter:  q.Filter,
+		Output:  q.Output,
+		Aggs:    q.Aggs,
+		GroupBy: q.GroupBy,
 	}
-	filterOnProbe := spec.Filter != nil && maxColumn(spec.Filter) < np
+	if q.Join != nil {
+		dq.Join = &device.JoinSpec{Build: device.RefOf(build), BuildKey: q.buildKey, ProbeKey: q.probeKey}
+	}
+	return dq
+}
 
-	if spec.Join == nil {
-		if spec.Filter != nil {
-			scan.Filter = spec.Filter
-		}
-		root = scan
-	} else {
-		if filterOnProbe {
-			scan.Filter = spec.Filter
-		}
-		buildScan := &exec.TableScan{File: build.File}
-		if build.Target == OnSSD {
-			buildScan.Pool = e.pool
-		}
+// table looks name up in the engine's catalog for resolve.
+func (e *Engine) table(name string) (*heap.File, *schema.Schema, Target, error) {
+	t, err := e.Table(name)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return t.File, t.File.Schema(), t.Target, nil
+}
+
+// hostPlan lowers a resolved query to a host operator tree. The
+// combined-row column convention matches the device program: when the
+// filter only references main-table columns it is inlined into the
+// scan, exactly the residual-predicate placement SQL Server uses.
+func (e *Engine) hostPlan(q *resolved[*heap.File]) exec.Operator {
+	var pool *bufpool.Pool
+	if q.target == OnSSD {
+		pool = e.pool
+	}
+	scan := &exec.TableScan{File: q.main, Pool: pool}
+	onProbe := rowWidth(q.Filter) <= q.main.Schema().NumColumns()
+	if onProbe {
+		scan.Filter = q.Filter
+	}
+	var root exec.Operator = scan
+	if q.Join != nil {
 		root = &exec.HashJoin{
-			Build:    buildScan,
+			Build:    &exec.TableScan{File: q.build, Pool: pool},
 			Probe:    scan,
-			BuildKey: build.File.Schema().MustColumnIndex(spec.Join.BuildKey),
-			ProbeKey: t.File.Schema().MustColumnIndex(spec.Join.ProbeKey),
+			BuildKey: q.buildKey,
+			ProbeKey: q.probeKey,
 		}
-		if spec.Filter != nil && !filterOnProbe {
-			root = &exec.Filter{Input: root, Pred: spec.Filter}
+		if !onProbe {
+			root = &exec.Filter{Input: root, Pred: q.Filter}
 		}
 	}
-
-	switch {
-	case len(spec.Aggs) > 0:
-		root = &exec.Aggregate{Input: root, GroupBy: spec.GroupBy, Aggs: spec.Aggs}
-	case len(spec.Output) > 0:
-		root = &exec.Project{Input: root, Cols: spec.Output}
-	default:
-		return nil, errors.New("core: query has neither output columns nor aggregates")
+	if len(q.Aggs) > 0 {
+		return &exec.Aggregate{Input: root, GroupBy: q.GroupBy, Aggs: q.Aggs}
 	}
-	return root, nil
+	return &exec.Project{Input: root, Cols: q.Output}
 }
 
 // finishOrdering applies ORDER BY and LIMIT to a completed result,
@@ -346,14 +394,42 @@ func (e *Engine) finishOrdering(res *Result, spec QuerySpec) error {
 	return nil
 }
 
-func maxColumn(ex expr.Expr) int {
-	m := -1
-	for _, c := range ex.Columns(nil) {
-		if c > m {
-			m = c
+// rowWidth reports how wide a row ex reads: one more than the highest
+// column it references (0 for none or a nil ex), or MaxInt for a
+// negative one. It walks the node types itself, so that resolving a
+// query allocates nothing; any other node falls back to Columns.
+func rowWidth(ex expr.Expr) int {
+	w := 0
+	switch x := ex.(type) {
+	case nil, expr.Const:
+	case expr.Col:
+		if w = x.Index + 1; x.Index < 0 {
+			w = math.MaxInt
+		}
+	case expr.Cmp:
+		w = max(rowWidth(x.L), rowWidth(x.R))
+	case expr.Arith:
+		w = max(rowWidth(x.L), rowWidth(x.R))
+	case expr.Not:
+		w = rowWidth(x.E)
+	case expr.LikePrefix:
+		w = rowWidth(x.E)
+	case expr.Case:
+		w = max(rowWidth(x.Cond), rowWidth(x.Then), rowWidth(x.Else))
+	case expr.And:
+		for _, t := range x.Terms {
+			w = max(w, rowWidth(t))
+		}
+	case expr.Or:
+		for _, t := range x.Terms {
+			w = max(w, rowWidth(t))
+		}
+	default:
+		for _, c := range ex.Columns(nil) {
+			w = max(w, rowWidth(expr.Col{Index: c}))
 		}
 	}
-	return m
+	return w
 }
 
 // newExecCtx builds a host executor context carrying the engine's
@@ -364,11 +440,8 @@ func (e *Engine) newExecCtx() *exec.Ctx {
 	return ctx
 }
 
-func (e *Engine) runHost(spec QuerySpec, t, build *Table) (*Result, error) {
-	op, err := e.hostPlan(spec, t, build)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) runHost(q *resolved[*heap.File]) (*Result, error) {
+	op := e.hostPlan(q)
 	win := e.faultWindow()
 	ctx := e.newExecCtx()
 	rows, end, err := exec.Collect(ctx, op)
@@ -382,7 +455,7 @@ func (e *Engine) runHost(spec QuerySpec, t, build *Table) (*Result, error) {
 		Placement: RanHost,
 		HostStats: ctx.Stats,
 	}
-	e.finishMetrics(res, t)
+	e.finishMetrics(res, q.target)
 	res.Elapsed += win.diff(e, &res.Faults)
 	return res, nil
 }
@@ -392,7 +465,7 @@ func (e *Engine) runHost(spec QuerySpec, t, build *Table) (*Result, error) {
 // then transparent host fallback (re-scanning through the block
 // interface). Non-fault errors surface immediately. On a fault-free
 // device this is exactly one RunQuery call.
-func (e *Engine) runDevice(spec QuerySpec, t, build *Table, q device.Query, d opt.Decision) (*Result, error) {
+func (e *Engine) runDevice(q *resolved[*heap.File], dq device.Query, d opt.Decision) (*Result, error) {
 	win := e.faultWindow()
 	var rep FaultReport
 	var wait time.Duration
@@ -400,16 +473,16 @@ func (e *Engine) runDevice(spec QuerySpec, t, build *Table, q device.Query, d op
 	var lastErr error
 	for attempt := 0; attempt <= e.cfg.MaxDeviceRetries; attempt++ {
 		rep.DeviceAttempts++
-		rows, end, err := e.runtime.RunQuery(q)
+		rows, end, err := e.runtime.RunQuery(dq)
 		if err == nil {
 			res := &Result{
 				Rows:      rows,
-				Schema:    q.OutputSchema(),
+				Schema:    dq.OutputSchema(),
 				Elapsed:   end,
 				Placement: RanDevice,
 				Decision:  d,
 			}
-			e.finishMetrics(res, &Table{Target: OnSSD})
+			e.finishMetrics(res, OnSSD)
 			res.Resources.Phases = e.runtime.PhaseStats().Phases()
 			res.Elapsed += wait + win.diff(e, &rep)
 			res.Faults = rep
@@ -431,7 +504,7 @@ func (e *Engine) runDevice(spec QuerySpec, t, build *Table, q device.Query, d op
 	}
 	rep.HostFallback = true
 	rep.FallbackReason = faultReason(lastErr)
-	res, err := e.runHost(spec, t, build)
+	res, err := e.runHost(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: host fallback after %v: %w", lastErr, err)
 	}
@@ -443,7 +516,7 @@ func (e *Engine) runDevice(spec QuerySpec, t, build *Table, q device.Query, d op
 
 // finishMetrics fills bottleneck, traffic, and energy from the device
 // activity counters.
-func (e *Engine) finishMetrics(res *Result, t *Table) {
+func (e *Engine) finishMetrics(res *Result, target Target) {
 	util := func(busy time.Duration) float64 {
 		if res.Elapsed <= 0 {
 			return 0
@@ -455,7 +528,7 @@ func (e *Engine) finishMetrics(res *Result, t *Table) {
 		return u
 	}
 	hostBusy := e.host.CPU.BusyTime() / time.Duration(e.cfg.HostCores)
-	if t.Target == OnHDD {
+	if target == OnHDD {
 		act := e.hdd.Activity()
 		res.Bottleneck = "hdd-media"
 		res.FlashBytesRead = act.BytesRead
@@ -504,24 +577,14 @@ func (e *Engine) finishMetrics(res *Result, t *Table) {
 // without executing anything — the cost evidence the EXPLAIN surface
 // renders alongside the plans.
 func (e *Engine) Decide(spec QuerySpec) (opt.Decision, error) {
-	t, err := e.Table(spec.Table)
+	q, err := resolve(spec, Auto, true, e.table)
 	if err != nil {
 		return opt.Decision{}, err
 	}
-	var build *Table
-	if spec.Join != nil {
-		if build, err = e.Table(spec.Join.BuildTable); err != nil {
-			return opt.Decision{}, err
-		}
-	}
-	if t.Target == OnHDD {
+	if q.target == OnHDD {
 		return opt.Decision{Reason: "table on HDD has no pushdown path"}, nil
 	}
-	dq, err := e.deviceQuery(spec, t, build)
-	if err != nil {
-		return opt.Decision{}, err
-	}
-	return e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity), nil
+	return e.planner.Decide(q.lower(device.RefOf(q.main), q.build), e.ssd, e.runPool(), spec.EstSelectivity), nil
 }
 
 // runPool reports the buffer pool the next Run starts from, the one the
@@ -537,25 +600,13 @@ func (e *Engine) runPool() *bufpool.Pool {
 // Explain renders both candidate plans and the planner's decision
 // without executing anything.
 func (e *Engine) Explain(spec QuerySpec) (string, error) {
-	t, err := e.Table(spec.Table)
+	q, err := resolve(spec, Auto, true, e.table)
 	if err != nil {
 		return "", err
 	}
-	var build *Table
-	if spec.Join != nil {
-		if build, err = e.Table(spec.Join.BuildTable); err != nil {
-			return "", err
-		}
-	}
-	out := ""
-	if op, err := e.hostPlan(spec, t, build); err == nil {
-		out += "host plan:\n" + exec.ExplainTree(op)
-	}
-	if t.Target == OnSSD {
-		dq, err := e.deviceQuery(spec, t, build)
-		if err != nil {
-			return "", err
-		}
+	out := "host plan:\n" + exec.ExplainTree(e.hostPlan(&q))
+	if q.target == OnSSD {
+		dq := q.lower(device.RefOf(q.main), q.build)
 		out += "device plan:\n" + dq.Explain()
 		d := e.planner.Decide(dq, e.ssd, e.runPool(), spec.EstSelectivity)
 		out += "decision: " + d.String() + "\n"

@@ -7,7 +7,6 @@ import (
 	"smartssd/internal/device"
 	"smartssd/internal/page"
 	"smartssd/internal/schema"
-	"smartssd/internal/sql"
 	"smartssd/internal/ssd"
 	"smartssd/workload"
 )
@@ -79,7 +78,7 @@ func BenchmarkClusterClasses(b *testing.B) {
 					}
 					continue
 				}
-				if _, err := cl.RunRouted(sql.ClusterQueryOf(q.Spec), nil); err != nil {
+				if _, err := cl.RunRouted(q.Spec, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

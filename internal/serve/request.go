@@ -121,8 +121,6 @@ type SetRequest struct {
 type Query struct {
 	Req      Request
 	Filter   expr.Expr
-	Aggs     []plan.AggSpec
-	Output   []plan.OutputCol
 	Sets     []core.SetClause
 	Mode     core.Mode
 	Cluster  bool
@@ -287,8 +285,6 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 		}
 		q.Spec = compiled.Spec
 		q.Filter = compiled.Spec.Filter
-		q.Aggs = compiled.Spec.Aggs
-		q.Output = compiled.Spec.Output
 		q.Columns = compiled.OutputNames
 		q.Explain = compiled.Stmt.Explain
 		q.Compiled = compiled
@@ -406,7 +402,7 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 		if spec.Name == "" {
 			spec.Name = a.Kind
 		}
-		q.Aggs = append(q.Aggs, spec)
+		q.Spec.Aggs = append(q.Spec.Aggs, spec)
 	}
 	for i, o := range req.Output {
 		if o.Name == "" {
@@ -422,16 +418,11 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: output %d: %w", i, err)
 		}
-		q.Output = append(q.Output, plan.OutputCol{Name: o.Name, E: e})
+		q.Spec.Output = append(q.Spec.Output, plan.OutputCol{Name: o.Name, E: e})
 	}
 	// The structured path's spec leaves EstSelectivity zero — the
 	// planner's default — so existing workloads keep their exact
 	// placement decisions and response bytes.
-	q.Spec = core.QuerySpec{
-		Table:  req.Table,
-		Filter: q.Filter,
-		Output: q.Output,
-		Aggs:   q.Aggs,
-	}
+	q.Spec.Table, q.Spec.Filter = req.Table, q.Filter
 	return q, nil
 }

@@ -757,7 +757,7 @@ func TestDecodeRequestOutputProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Output) != 2 || q.Cluster || q.Mode != core.Auto {
+	if len(q.Spec.Output) != 2 || q.Cluster || q.Mode != core.Auto {
 		t.Fatalf("query = %+v", q)
 	}
 }
@@ -801,7 +801,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("re-encoded request %s does not re-decode: %v", re, err)
 		}
 		if q2.Cluster != q.Cluster || q2.Mode != q.Mode || q2.Deadline != q.Deadline ||
-			len(q2.Aggs) != len(q.Aggs) || len(q2.Output) != len(q.Output) {
+			len(q2.Spec.Aggs) != len(q.Spec.Aggs) || len(q2.Spec.Output) != len(q.Spec.Output) {
 			t.Fatalf("re-decode diverged: %+v vs %+v", q, q2)
 		}
 	})

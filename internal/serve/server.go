@@ -355,10 +355,10 @@ func columnNames(q *Query) []string {
 		return q.Columns
 	}
 	var names []string
-	for _, a := range q.Aggs {
+	for _, a := range q.Spec.Aggs {
 		names = append(names, a.Name)
 	}
-	for _, o := range q.Output {
+	for _, o := range q.Spec.Output {
 		names = append(names, o.Name)
 	}
 	return names
@@ -384,54 +384,62 @@ func encodeRows(tuples []schema.Tuple) [][]any {
 }
 
 // execute runs one compiled query on worker and returns the result's
-// HTTP status, encoded body, and trace (if requested).
+// HTTP status, encoded body, and trace (if requested). Every session
+// answers the same way: FAILED with the error's fault class when the
+// run fails, FAILED with get-timeout when its simulated elapsed time
+// passes the deadline, DONE with the run's body otherwise.
 func (s *Server) execute(worker int, q *Query) (int, []byte, *trace.Recorder) {
-	if q.Explain {
-		status, body := s.executeExplain(worker, q)
-		return status, body, nil
+	var body resultBody
+	var rec *trace.Recorder
+	var err error
+	switch {
+	case q.Explain:
+		body, err = s.explain(worker, q)
+	case q.Cluster:
+		body, err = s.runCluster(q)
+	default:
+		body, rec, err = s.runEngine(worker, q)
 	}
-	if q.Cluster {
-		status, body := s.executeCluster(q)
-		return status, body, nil
+	status := http.StatusInternalServerError
+	if err == nil {
+		status = http.StatusGatewayTimeout
+		// An update's commit is durable by now; only its acknowledgement
+		// can miss the deadline, which recovers like a client that never
+		// read its ack.
+		err = fault.Deadline(time.Duration(body.ElapsedNS), q.Deadline)
 	}
-	return s.executeEngine(worker, q)
+	if err != nil {
+		return status, encodeResult(errorBody{
+			Tag: q.Req.Tag, State: "FAILED", Error: err.Error(), Class: core.FaultClass(err),
+		}), rec
+	}
+	body.Tag, body.State = q.Req.Tag, "DONE"
+	return http.StatusOK, encodeResult(body), rec
 }
 
-// executeExplain answers an EXPLAIN session: the plan report — logical
-// plan, physical candidates, and the pushdown decision's cost evidence
-// — rendered one line per row, without executing anything.
-func (s *Server) executeExplain(worker int, q *Query) (int, []byte) {
+// explain answers an EXPLAIN session: the plan report — logical plan,
+// physical candidates, and the pushdown decision's cost evidence —
+// rendered one line per row, without executing anything.
+func (s *Server) explain(worker int, q *Query) (resultBody, error) {
+	body := resultBody{Target: "engine", Columns: []string{"plan"}}
 	var report string
 	var err error
 	if q.Cluster {
+		body.Target = "cluster"
 		report, err = sql.ExplainCluster(s.cluster, q.Compiled)
 	} else {
 		report, err = sql.ExplainEngine(s.engines[worker], q.Compiled)
 	}
 	if err != nil {
-		return http.StatusInternalServerError, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: err.Error(),
-		})
+		return body, err
 	}
-	target := "engine"
-	if q.Cluster {
-		target = "cluster"
+	for _, l := range strings.Split(strings.TrimRight(report, "\n"), "\n") {
+		body.Rows = append(body.Rows, []any{l})
 	}
-	lines := strings.Split(strings.TrimRight(report, "\n"), "\n")
-	rows := make([][]any, len(lines))
-	for i, l := range lines {
-		rows[i] = []any{l}
-	}
-	return http.StatusOK, encodeResult(resultBody{
-		Tag:     q.Req.Tag,
-		State:   "DONE",
-		Target:  target,
-		Columns: []string{"plan"},
-		Rows:    rows,
-	})
+	return body, nil
 }
 
-func (s *Server) executeEngine(worker int, q *Query) (int, []byte, *trace.Recorder) {
+func (s *Server) runEngine(worker int, q *Query) (resultBody, *trace.Recorder, error) {
 	eng := s.engines[worker]
 	var rec *trace.Recorder
 	if q.Req.Trace {
@@ -441,19 +449,9 @@ func (s *Server) executeEngine(worker int, q *Query) (int, []byte, *trace.Record
 	}
 	res, err := eng.Run(q.Spec, q.Mode)
 	if err != nil {
-		return http.StatusInternalServerError, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: err.Error(), Class: core.FaultClass(err),
-		}), rec
-	}
-	res.Tag = q.Req.Tag
-	if derr := fault.Deadline(res.Elapsed, q.Deadline); derr != nil {
-		return http.StatusGatewayTimeout, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: derr.Error(), Class: core.FaultClass(derr),
-		}), rec
+		return resultBody{}, rec, err
 	}
 	body := resultBody{
-		Tag:       res.Tag,
-		State:     "DONE",
 		Target:    "engine",
 		Placement: res.Placement.String(),
 		Columns:   columnNames(q),
@@ -463,74 +461,39 @@ func (s *Server) executeEngine(worker int, q *Query) (int, []byte, *trace.Record
 	if res.Faults.Any() {
 		body.Faults = res.Faults.String()
 	}
-	return http.StatusOK, encodeResult(body), rec
+	return body, rec, nil
 }
 
-// executeUpdate runs one transactional UPDATE session on the cluster.
-// The 200 response is the commit acknowledgement: it is not written
-// until Cluster.Update has returned, which happens only after the
-// commit's write-ahead-log flush is durable on the coordinator device.
-func (s *Server) executeUpdate(q *Query) (int, []byte) {
+// runCluster runs a read or an UPDATE session on the shared cluster as
+// one cold run. An update's body is its commit acknowledgement:
+// Cluster.Update returns only after the commit's write-ahead-log flush
+// is durable on the coordinator device.
+func (s *Server) runCluster(q *Query) (resultBody, error) {
+	var res *core.ClusterResult
+	var n int64
+	var elapsed time.Duration
+	var err error
 	s.clusterMu.Lock()
 	s.cluster.ResetTiming()
-	n, ack, err := s.cluster.Update(q.Req.Table, q.Filter, q.Sets)
-	s.clusterMu.Unlock()
-	if err != nil {
-		return http.StatusInternalServerError, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: err.Error(), Class: core.FaultClass(err),
-		})
-	}
-	s.mu.Lock()
-	s.lastElapsed = ack
-	s.mu.Unlock()
-	if derr := fault.Deadline(ack, q.Deadline); derr != nil {
-		// The commit is durable; only the acknowledgement missed its
-		// deadline. Report the timeout — recovery semantics are the
-		// same as a client that never read its ack.
-		return http.StatusGatewayTimeout, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: derr.Error(), Class: core.FaultClass(derr),
-		})
-	}
-	return http.StatusOK, encodeResult(resultBody{
-		Tag:       q.Req.Tag,
-		State:     "DONE",
-		Target:    "cluster",
-		Columns:   []string{"rows_updated"},
-		Rows:      [][]any{{n}},
-		ElapsedNS: ack.Nanoseconds(),
-	})
-}
-
-func (s *Server) executeCluster(q *Query) (int, []byte) {
 	if len(q.Sets) > 0 {
-		return s.executeUpdate(q)
+		n, elapsed, err = s.cluster.Update(q.Req.Table, q.Filter, q.Sets)
+	} else if res, err = s.cluster.RunRouted(q.Spec, s.routeLeastLoaded); err == nil {
+		elapsed = res.Elapsed
 	}
-	s.clusterMu.Lock()
-	s.cluster.ResetTiming()
-	res, err := s.cluster.RunRouted(sql.ClusterQueryOf(q.Spec), s.routeLeastLoaded)
 	s.clusterMu.Unlock()
 	if err != nil {
-		return http.StatusInternalServerError, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: err.Error(), Class: core.FaultClass(err),
-		})
+		return resultBody{}, err
 	}
-	res.Tag = q.Req.Tag
 	s.mu.Lock()
-	s.lastElapsed = res.Elapsed
+	s.lastElapsed = elapsed
 	s.mu.Unlock()
-	if derr := fault.Deadline(res.Elapsed, q.Deadline); derr != nil {
-		return http.StatusGatewayTimeout, encodeResult(errorBody{
-			Tag: q.Req.Tag, State: "FAILED", Error: derr.Error(), Class: core.FaultClass(derr),
-		})
+	body := resultBody{Target: "cluster", ElapsedNS: elapsed.Nanoseconds()}
+	if res == nil {
+		body.Columns, body.Rows = []string{"rows_updated"}, [][]any{{n}}
+	} else {
+		body.Columns, body.Rows = columnNames(q), encodeRows(res.Rows)
 	}
-	return http.StatusOK, encodeResult(resultBody{
-		Tag:       res.Tag,
-		State:     "DONE",
-		Target:    "cluster",
-		Columns:   columnNames(q),
-		Rows:      encodeRows(res.Rows),
-		ElapsedNS: res.Elapsed.Nanoseconds(),
-	})
+	return body, nil
 }
 
 // routeLeastLoaded picks, among the devices holding a copy of the

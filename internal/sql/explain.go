@@ -37,12 +37,9 @@ func ExplainEngine(e *core.Engine, c *Compiled) (string, error) {
 // statement: the per-partition device program and the merge strategy
 // (the cluster always pushes down, so there is no placement decision).
 func ExplainCluster(cl *core.Cluster, c *Compiled) (string, error) {
-	if len(c.Spec.OrderBy) > 0 || c.Spec.Limit > 0 {
-		return "", fmt.Errorf("sql: cluster sessions do not support ORDER BY or LIMIT")
-	}
 	var b strings.Builder
 	writeLogical(&b, c)
-	plans, err := cl.Explain(ClusterQueryOf(c.Spec))
+	plans, err := cl.Explain(c.Spec)
 	if err != nil {
 		return "", err
 	}
@@ -50,19 +47,10 @@ func ExplainCluster(cl *core.Cluster, c *Compiled) (string, error) {
 	return b.String(), nil
 }
 
-// ClusterQueryOf lowers an engine query spec onto the cluster's query
-// form (the shared fields; ordering and limits are host-side engine
-// features the cluster path rejects before reaching here).
-func ClusterQueryOf(spec core.QuerySpec) core.ClusterQuery {
-	return core.ClusterQuery{
-		Table:   spec.Table,
-		Join:    spec.Join,
-		Filter:  spec.Filter,
-		Output:  spec.Output,
-		Aggs:    spec.Aggs,
-		GroupBy: spec.GroupBy,
-	}
-}
+// ClusterQueryOf returns spec unchanged: the cluster runs QuerySpec
+// itself. It remains only because bench/ still calls it, and goes when
+// bench/ next changes.
+func ClusterQueryOf(spec core.QuerySpec) core.QuerySpec { return spec }
 
 func writeLogical(b *strings.Builder, c *Compiled) {
 	fmt.Fprintf(b, "sql: %s\n", c.SQL)

@@ -118,7 +118,6 @@ const (
 // SSDs like a parallel DBMS.
 type (
 	Cluster       = core.Cluster
-	ClusterQuery  = core.ClusterQuery
 	ClusterResult = core.ClusterResult
 )
 

@@ -216,7 +216,7 @@ func TestClusterPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(smartssd.ClusterQuery{
+	res, err := cl.Run(smartssd.QuerySpec{
 		Table:  "t",
 		Filter: smartssd.LT(smartssd.ColOf(s, "v"), smartssd.Int(5)),
 		Aggs:   []smartssd.AggSpec{{Kind: smartssd.Count, Name: "c"}},
