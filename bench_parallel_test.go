@@ -128,9 +128,9 @@ func benchQ6Engine(tb testing.TB) *core.Engine {
 // the three paths the arena work targets: the host scan and scalar
 // aggregate (host Q6), the in-device program (device Q6) and the host
 // hash join's build side (host Q14). Each bound is 1.2x the count
-// measured when the gate was set (104, 94 and 159; two more each under
-// -race), so a per-page or per-row allocation fails it. It is not
-// parallel: AllocsPerRun counts every goroutine's allocations.
+// measured when the gate was last tightened (59, 90 and 117; two more
+// each under -race), so a per-page or per-row allocation fails it. It
+// is not parallel: AllocsPerRun counts every goroutine's allocations.
 func TestHotPathAllocs(t *testing.T) {
 	e := benchQ6Engine(t)
 	q6 := core.QuerySpec{
@@ -152,9 +152,9 @@ func TestHotPathAllocs(t *testing.T) {
 		mode  core.Mode
 		bound float64
 	}{
-		{"host_q6", q6, core.ForceHost, 125},
-		{"device_q6", q6, core.ForceDevice, 113},
-		{"host_q14", q14, core.ForceHost, 191},
+		{"host_q6", q6, core.ForceHost, 71},
+		{"device_q6", q6, core.ForceDevice, 108},
+		{"host_q14", q14, core.ForceHost, 140},
 	} {
 		run := func() {
 			if _, err := e.Run(c.spec, c.mode); err != nil {

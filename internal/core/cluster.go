@@ -181,6 +181,19 @@ func (c *Cluster) table(name string) ([]*heap.File, *schema.Schema, Target, erro
 	return files, files[0].Schema(), OnSSD, nil
 }
 
+// resolve checks spec against the cluster's catalog. A join's build
+// table must be replicated: each partition joins against the build
+// rows on its own device, so a partitioned build table would silently
+// drop every pair whose build row lives elsewhere. Callers hold mu or
+// catMu.
+func (c *Cluster) resolve(spec QuerySpec) (resolved[[]*heap.File], error) {
+	q, err := resolve(spec, ForceDevice, false, c.table)
+	if err == nil && q.Join != nil && !c.replicated[q.Join.BuildTable] {
+		err = fmt.Errorf("core: cluster join build table %q is partitioned; load it with Replicate", q.Join.BuildTable)
+	}
+	return q, err
+}
+
 // TableNames lists the cluster's tables sorted by name.
 func (c *Cluster) TableNames() []string {
 	c.catMu.RLock()
@@ -454,7 +467,7 @@ type partitionRun struct {
 func (c *Cluster) RunRouted(spec QuerySpec, route RouteFunc) (*ClusterResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	q, err := resolve(spec, ForceDevice, false, c.table)
+	q, err := c.resolve(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -652,7 +665,7 @@ func sortGroups(rows []schema.Tuple, out *schema.Schema, nGroup int) {
 func (c *Cluster) Explain(spec QuerySpec) (string, error) {
 	c.catMu.RLock()
 	defer c.catMu.RUnlock()
-	q, err := resolve(spec, ForceDevice, false, c.table)
+	q, err := c.resolve(spec)
 	if err != nil {
 		return "", err
 	}

@@ -32,6 +32,14 @@ func (p partitionCopies) ReadPage(lba int64, ready time.Duration) ([]byte, time.
 	return p.c.devices[p.devs[0]].ReadPage(lba, ready)
 }
 
+func (p partitionCopies) Checked(lba int64, buf []byte) bool {
+	return p.c.devices[p.devs[0]].Checked(lba, buf)
+}
+
+func (p partitionCopies) MarkChecked(lba int64, buf []byte) {
+	p.c.devices[p.devs[0]].MarkChecked(lba, buf)
+}
+
 func (p partitionCopies) WritePage(lba int64, data []byte, ready time.Duration) (time.Duration, error) {
 	last := ready
 	for r, d := range p.devs {

@@ -100,6 +100,17 @@ func TestMalformedQueriesReturnErrors(t *testing.T) {
 		{"cluster LIMIT", QuerySpec{Table: "fact", Output: []plan.OutputCol{{Name: "id", E: col(0)}},
 			Limit: 5}, "ORDER BY or LIMIT", true},
 	}
+	// partitionedCases are refused only by a cluster whose dim was
+	// Loaded (partitioned), not Replicated: each partition would join
+	// only the dim rows on its own device.
+	partitionedCases := []struct {
+		name string
+		spec QuerySpec
+		want string
+	}{
+		{"partitioned build table", QuerySpec{Table: "fact", Join: joinOn("dim", "d_key", "grp"), Aggs: count},
+			"partitioned"},
+	}
 
 	type entry struct {
 		name string
@@ -128,33 +139,70 @@ func TestMalformedQueriesReturnErrors(t *testing.T) {
 		t.Fatalf("%d fact pages: fansOut = %v and %v, want true and false",
 			pages, fanned.fansOut(pages), inOrder.fansOut(pages))
 	}
-	for name, cl := range map[string]*Cluster{"fanned": fanned, "in-order": inOrder} {
-		clusterEntries = append(clusterEntries,
-			entry{"cluster/" + name + "/Run", func(q QuerySpec) error { _, err := cl.Run(q); return err }},
-			entry{"cluster/" + name + "/Explain", func(q QuerySpec) error { _, err := cl.Explain(q); return err }})
+	partitioned, err := NewCluster(2, smallSSD(), device.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := make([]schema.Tuple, 400)
+	for i := range fact {
+		fact[i] = schema.Tuple{schema.IntVal(int64(i)), schema.IntVal(int64(i % 40)),
+			schema.IntVal(int64(i % 100)), schema.StrVal("p")}
+	}
+	dim := make([]schema.Tuple, 40)
+	for i := range dim {
+		dim[i] = schema.Tuple{schema.IntVal(int64(i)), schema.IntVal(int64(7 * i))}
+	}
+	for _, tab := range []struct {
+		name string
+		s    *schema.Schema
+		rows []schema.Tuple
+	}{{"fact", widePaddedSchema(), fact}, {"dim", dimSchema(), dim}} {
+		if err := partitioned.CreateTable(tab.name, tab.s, page.PAX, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := partitioned.Load(tab.name, sliceFeeder(tab.rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var partitionedEntries []entry
+	for name, cl := range map[string]*Cluster{"fanned": fanned, "in-order": inOrder, "partitioned": partitioned} {
+		es := []entry{
+			{"cluster/" + name + "/Run", func(q QuerySpec) error { _, err := cl.Run(q); return err }},
+			{"cluster/" + name + "/Explain", func(q QuerySpec) error { _, err := cl.Explain(q); return err }},
+		}
+		clusterEntries = append(clusterEntries, es...)
+		if cl == partitioned {
+			partitionedEntries = es
+		}
 	}
 
-	for _, c := range cases {
-		entries := append(append([]entry(nil), clusterEntries...), engineEntries...)
-		if c.clusterOnly {
-			entries = clusterEntries
-		}
+	check := func(name string, spec QuerySpec, want string, entries []entry) {
 		for _, en := range entries {
-			t.Run(c.name+"/"+en.name, func(t *testing.T) {
+			t.Run(name+"/"+en.name, func(t *testing.T) {
 				defer func() {
 					if p := recover(); p != nil {
 						t.Fatalf("panic: %v", p)
 					}
 				}()
-				err := en.call(c.spec)
-				if err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Fatalf("err = %v, want one containing %q", err, c.want)
+				err := en.call(spec)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want one containing %q", err, want)
 				}
-				if c.want == ErrNoTable.Error() && !errors.Is(err, ErrNoTable) {
+				if want == ErrNoTable.Error() && !errors.Is(err, ErrNoTable) {
 					t.Fatalf("err = %v, want ErrNoTable", err)
 				}
 			})
 		}
+	}
+	for _, c := range cases {
+		entries := append(append([]entry(nil), clusterEntries...), engineEntries...)
+		if c.clusterOnly {
+			entries = clusterEntries
+		}
+		check(c.name, c.spec, c.want, entries)
+	}
+	for _, c := range partitionedCases {
+		check(c.name, c.spec, c.want, partitionedEntries)
 	}
 }
 

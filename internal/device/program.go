@@ -470,7 +470,7 @@ func (p *program) loadBuild(used []int) error {
 		if err != nil {
 			return fmt.Errorf("build fetch: %w", err)
 		}
-		if err := r.Bind(data); err != nil {
+		if err := r.BindStored(p.dev, b.StartLBA+pg, data); err != nil {
 			return fmt.Errorf("build page %d: %w", pg, err)
 		}
 		p.buildDone = max(p.buildDone, p.charge(Counts{BuildPages: 1, BuildRows: int64(r.Count())}, at))
@@ -500,7 +500,7 @@ func (p *program) scan() (time.Duration, error) {
 		if err != nil {
 			return 0, fmt.Errorf("scan fetch: %w", err)
 		}
-		if err := r.Bind(data); err != nil {
+		if err := r.BindStored(p.dev, q.Table.StartLBA+pg, data); err != nil {
 			return 0, fmt.Errorf("scan page %d: %w", pg, err)
 		}
 		done := p.runPage(r, max(at, p.buildDone))

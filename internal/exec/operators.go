@@ -82,8 +82,10 @@ func (t *TableScan) runWithPool(ctx *Ctx, process func(*page.Reader, time.Durati
 	for idx := from; idx < pages; {
 		lba := t.File.StartLBA() + idx
 		if data, hit := t.Pool.Get(lba); hit {
-			// Cached: page is host-resident already; only CPU time.
-			if err := r.Bind(data); err != nil {
+			// Cached: page is host-resident already; only CPU time. A
+			// frame that borrows the device's stored buffer shares its
+			// checksum record; an owned copy is checked in full.
+			if err := r.BindStored(t.File.Device(), lba, data); err != nil {
 				t.Pool.Unpin(lba, false)
 				return end, err
 			}

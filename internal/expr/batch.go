@@ -23,7 +23,10 @@ import (
 // scalar decode path widens them; Char columns are [][]byte.
 // schema.Batch implements it.
 type BatchSource interface {
-	Int64Vec(col int) []int64
+	// Int64At reports column col's vector, valid at least at the rows
+	// of sel: a kernel asks for a column at its own selection, so a
+	// source that decodes lazily decodes only those rows.
+	Int64At(col int, sel []int32) []int64
 	BytesVec(col int) [][]byte
 }
 
@@ -369,66 +372,78 @@ func compileSel(e Expr, ev int64Kernel) selKernel {
 		if cap(keep) < len(sel) {
 			keep = make([]int32, len(sel))
 		}
-		out := keep[:0]
+		out, n := keep[:len(sel)], 0
 		for k, row := range sel {
-			if v[k] != 0 {
-				out = append(out, row)
-			}
+			out[n] = row
+			n += b2i(v[k] != 0)
 		}
-		return out
+		return out[:n]
 	}
 }
 
-// colConstSel is the fused column-versus-constant comparison kernel —
-// one branch-predictable loop per operator over the raw column vector.
+// colConstSel is the fused column-versus-constant comparison kernel.
 func colConstSel(col int, op CmpOp, c int64) selKernel {
 	var keep []int32
 	return func(src BatchSource, sel []int32) []int32 {
-		vec := src.Int64Vec(col)
+		vec := src.Int64At(col, sel)
 		if cap(keep) < len(sel) {
 			keep = make([]int32, len(sel))
 		}
-		out := keep[:0]
-		switch op {
-		case EQ:
-			for _, row := range sel {
-				if vec[row] == c {
-					out = append(out, row)
-				}
-			}
-		case NE:
-			for _, row := range sel {
-				if vec[row] != c {
-					out = append(out, row)
-				}
-			}
-		case LT:
-			for _, row := range sel {
-				if vec[row] < c {
-					out = append(out, row)
-				}
-			}
-		case LE:
-			for _, row := range sel {
-				if vec[row] <= c {
-					out = append(out, row)
-				}
-			}
-		case GT:
-			for _, row := range sel {
-				if vec[row] > c {
-					out = append(out, row)
-				}
-			}
-		default: // GE
-			for _, row := range sel {
-				if vec[row] >= c {
-					out = append(out, row)
-				}
-			}
-		}
-		return out
+		return selectConst(op, vec, sel, keep[:len(sel)], c)
 	}
+}
+
+// selectConst writes to out the rows of sel whose value in vec compares
+// to c by op and reports them, one loop per operator. Each loop writes
+// every candidate row and advances past it by the comparison's result,
+// so how many rows survive never steers a branch. The loops live in a
+// small function of their own: inlined into compileSel's closure, they
+// once sat in a function too big for the compiler to inline b2i into,
+// and a call per row cost more than the branch it replaced.
+func selectConst(op CmpOp, vec []int64, sel, out []int32, c int64) []int32 {
+	n := 0
+	switch op {
+	case EQ:
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] == c)
+		}
+	case NE:
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] != c)
+		}
+	case LT:
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] < c)
+		}
+	case LE:
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] <= c)
+		}
+	case GT:
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] > c)
+		}
+	default: // GE
+		for _, row := range sel {
+			out[n] = row
+			n += b2i(vec[row] >= c)
+		}
+	}
+	return out[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func compileInt64(e Expr) (int64Kernel, bool) {
@@ -447,7 +462,7 @@ func compileInt64(e Expr) (int64Kernel, bool) {
 	case Col:
 		idx := x.Index
 		return func(src BatchSource, sel []int32, out []int64) {
-			vec := src.Int64Vec(idx)
+			vec := src.Int64At(idx, sel)
 			for k, row := range sel {
 				out[k] = vec[row]
 			}
@@ -565,7 +580,7 @@ func compileCmp(x Cmp) (int64Kernel, bool) {
 		if c, ok := x.R.(Const); ok {
 			idx, cv := col.Index, c.V.Int
 			return func(src BatchSource, sel []int32, out []int64) {
-				vec := src.Int64Vec(idx)
+				vec := src.Int64At(idx, sel)
 				for k, row := range sel {
 					var res int
 					switch {

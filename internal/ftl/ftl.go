@@ -289,6 +289,22 @@ func (f *FTL) Read(l LBA) ([]byte, error) {
 	return f.readPhysical(p)
 }
 
+// Checked reports whether buf is the page stored at l and has passed
+// its checksum since it was programmed there (see nand.Array.Checked).
+func (f *FTL) Checked(l LBA, buf []byte) bool {
+	p, ok := f.Lookup(l)
+	return ok && f.array.Checked(p, buf)
+}
+
+// MarkChecked records that buf, the page stored at l, passed its
+// checksum. Relocation and rewrites program a fresh physical page, so
+// the mark lasts until l's contents move or change.
+func (f *FTL) MarkChecked(l LBA, buf []byte) {
+	if p, ok := f.Lookup(l); ok {
+		f.array.MarkChecked(p, buf)
+	}
+}
+
 // readPhysical reads one NAND page through the read-retry ladder:
 // transient errors are retried up to MaxReadRetries times before the
 // page is declared uncorrectable. Genuinely uncorrectable errors fail
@@ -357,6 +373,7 @@ func (f *FTL) invalidate(l LBA) {
 	}
 	f.validCount[f.geo.BlockOf(old)]--
 	f.unbind(l, old)
+	f.array.Discard(old)
 }
 
 // programRetry programs data onto a freshly allocated page, remapping

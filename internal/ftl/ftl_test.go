@@ -88,6 +88,11 @@ func TestOverwriteRemaps(t *testing.T) {
 	if binary.LittleEndian.Uint64(got) != 2 {
 		t.Fatal("overwrite did not take effect")
 	}
+	// Nothing reads the stale page again, so its bytes are released
+	// rather than held until its block is erased.
+	if stale, err := f.array.Read(p1); err != nil || stale != nil {
+		t.Fatalf("stale page still holds %d bytes (err %v)", len(stale), err)
+	}
 }
 
 func TestReadUnmapped(t *testing.T) {
@@ -183,6 +188,68 @@ func TestGarbageCollectionPreservesData(t *testing.T) {
 	}
 	if s.WriteAmplification < 1.0 {
 		t.Fatalf("write amplification %.2f < 1", s.WriteAmplification)
+	}
+}
+
+// A page GC relocates is programmed into a fresh physical page, so
+// the record that it passed its checksum does not follow it: the next
+// reader checks it again. Rewritten pages lose their record the same
+// way.
+func TestRelocatedPageIsCheckedAgain(t *testing.T) {
+	f := newFTL(t, smallGeo(), Config{OverProvision: 0.25, GCLowWater: 2})
+	n := f.LogicalPages()
+	for l := LBA(0); int64(l) < n; l++ {
+		if err := f.Write(l, pageOf(f, uint64(l))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l := LBA(0); int64(l) < n; l++ {
+		buf, err := f.Read(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.MarkChecked(l, buf)
+		if !f.Checked(l, buf) {
+			t.Fatalf("lba %d: mark did not stick", l)
+		}
+	}
+	// Overwrite every LBA but 0 until GC relocates LBA 0.
+	const cold = LBA(0)
+	before, _ := f.Lookup(cold)
+	oldBuf, _ := f.Read(cold)
+	rng := rand.New(rand.NewSource(7))
+	rewritten := make(map[LBA]bool)
+	for i := int64(0); i < 8*n; i++ {
+		if p, _ := f.Lookup(cold); p != before {
+			break
+		}
+		l := LBA(1 + rng.Int63n(n-1))
+		if err := f.Write(l, pageOf(f, uint64(l))); err != nil {
+			t.Fatal(err)
+		}
+		rewritten[l] = true
+	}
+	if p, _ := f.Lookup(cold); p == before {
+		t.Fatal("GC never relocated the cold page; test is not exercising relocation")
+	}
+	buf, err := f.Read(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint64(buf) != uint64(cold) {
+		t.Fatal("relocated page lost its contents")
+	}
+	if f.Checked(cold, buf) || f.Checked(cold, oldBuf) {
+		t.Fatal("relocated page kept its checked mark")
+	}
+	f.MarkChecked(cold, buf)
+	if !f.Checked(cold, buf) {
+		t.Fatal("relocated page: mark did not stick")
+	}
+	for l := range rewritten {
+		if buf, err := f.Read(l); err != nil || f.Checked(l, buf) {
+			t.Fatalf("rewritten lba %d: err %v, checked %v", l, err, f.Checked(l, buf))
+		}
 	}
 }
 

@@ -95,11 +95,18 @@ var (
 type Device struct {
 	params       Params
 	media        *sim.Server // platter + head: one request at a time
-	store        map[int64][]byte
+	store        map[int64]stored
 	head         int64 // lba following the last transfer, for seek detection
 	bytesRead    int64
 	bytesWritten int64
 	seeks        int64
+}
+
+// stored is one written page: its buffer, never modified in place, and
+// whether that buffer has passed a reader's checksum.
+type stored struct {
+	data    []byte
+	checked bool
 }
 
 // New builds a disk. A zero Params gives the paper's baseline drive.
@@ -111,7 +118,7 @@ func New(params Params) (*Device, error) {
 	return &Device{
 		params: params,
 		media:  sim.NewServer("hdd-media", params.TransferRate),
-		store:  make(map[int64][]byte),
+		store:  make(map[int64]stored),
 		head:   -1,
 	}, nil
 }
@@ -156,7 +163,7 @@ func (d *Device) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration
 	if err := d.checkLBA(lba); err != nil {
 		return nil, 0, err
 	}
-	data, ok := d.store[lba]
+	pg, ok := d.store[lba]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnwritten, lba)
 	}
@@ -164,7 +171,7 @@ func (d *Device) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration
 	done := d.media.Serve(ready+d.params.CommandOverhead+pos, int64(d.params.PageSize))
 	d.head = lba + 1
 	d.bytesRead += int64(d.params.PageSize)
-	return data, done, nil
+	return pg.data, done, nil
 }
 
 // ReadRange reads count pages from start in IOUnitPages-sized requests,
@@ -192,11 +199,11 @@ func (d *Device) ReadRange(start, count int64, ready time.Duration, fn func(lba 
 		d.head = first + n
 		d.bytesRead += n * int64(d.params.PageSize)
 		for i := int64(0); i < n; i++ {
-			data, ok := d.store[first+i]
+			pg, ok := d.store[first+i]
 			if !ok {
 				return arrival, fmt.Errorf("%w: %d", ErrUnwritten, first+i)
 			}
-			if err := fn(first+i, data, arrival); err != nil {
+			if err := fn(first+i, pg.data, arrival); err != nil {
 				return arrival, err
 			}
 		}
@@ -220,7 +227,7 @@ func (d *Device) WritePage(lba int64, data []byte, ready time.Duration) (time.Du
 	// than updating it in place, so clones can share page contents.
 	buf := make([]byte, d.params.PageSize)
 	copy(buf, data)
-	d.store[lba] = buf
+	d.store[lba] = stored{data: buf}
 	d.bytesWritten += int64(d.params.PageSize)
 	return done, nil
 }
@@ -234,13 +241,33 @@ func (d *Device) Clone() *Device {
 	nd := &Device{
 		params: d.params,
 		media:  sim.NewServer("hdd-media", d.params.TransferRate),
-		store:  make(map[int64][]byte, len(d.store)),
+		store:  make(map[int64]stored, len(d.store)),
 		head:   -1,
 	}
-	for lba, buf := range d.store {
-		nd.store[lba] = buf
+	for lba, pg := range d.store {
+		nd.store[lba] = pg
 	}
 	return nd
+}
+
+// Checked reports whether buf is the page stored at lba and has passed
+// its checksum since it was written.
+func (d *Device) Checked(lba int64, buf []byte) bool {
+	pg := d.store[lba]
+	return pg.checked && holds(pg.data, buf)
+}
+
+// MarkChecked records that buf, the page stored at lba, passed its
+// checksum. WritePage stores a fresh buffer, which clears the mark.
+func (d *Device) MarkChecked(lba int64, buf []byte) {
+	if pg, ok := d.store[lba]; ok && !pg.checked && holds(pg.data, buf) {
+		d.store[lba] = stored{data: pg.data, checked: true}
+	}
+}
+
+// holds reports whether buf is the stored buffer data itself.
+func holds(data, buf []byte) bool {
+	return len(data) > 0 && len(buf) == len(data) && &data[0] == &buf[0]
 }
 
 // SetTracer installs (or, with nil, removes) a per-request trace hook

@@ -35,6 +35,9 @@ type BlockDevice interface {
 	ReadRange(start, count int64, ready time.Duration, fn func(lba int64, data []byte, arrival time.Duration) error) (time.Duration, error)
 	// WritePage writes one page, returning its completion time.
 	WritePage(lba int64, data []byte, ready time.Duration) (time.Duration, error)
+	// The device remembers which stored pages passed their checksum,
+	// so a scan checksums each page once per write.
+	page.CheckMemo
 }
 
 // Allocator hands out contiguous extents on one device. The zero value
@@ -215,14 +218,7 @@ func (a *Appender) Close() error {
 // reused across pages; fn must not retain it. Scan reports the virtual
 // completion time of the last I/O.
 func (f *File) Scan(ready time.Duration, fn func(r *page.Reader, arrival time.Duration) error) (time.Duration, error) {
-	r := page.ReaderFor(f.schema)
-	return f.dev.ReadRange(f.startLBA, f.pages, ready,
-		func(lba int64, data []byte, arrival time.Duration) error {
-			if err := r.Bind(data); err != nil {
-				return fmt.Errorf("heap: page %d of %q: %w", lba-f.startLBA, f.name, err)
-			}
-			return fn(r, arrival)
-		})
+	return f.ScanRange(0, f.pages, ready, fn)
 }
 
 // ScanRange reads pages [from, from+n) of the file sequentially, calling
@@ -234,7 +230,7 @@ func (f *File) ScanRange(from, n int64, ready time.Duration, fn func(r *page.Rea
 	r := page.ReaderFor(f.schema)
 	return f.dev.ReadRange(f.startLBA+from, n, ready,
 		func(lba int64, data []byte, arrival time.Duration) error {
-			if err := r.Bind(data); err != nil {
+			if err := r.BindStored(f.dev, lba, data); err != nil {
 				return fmt.Errorf("heap: page %d of %q: %w", lba-f.startLBA, f.name, err)
 			}
 			return fn(r, arrival)
@@ -247,12 +243,13 @@ func (f *File) ReadPageAt(idx int64, ready time.Duration) (*page.Reader, time.Du
 	if idx < 0 || idx >= f.pages {
 		return nil, 0, fmt.Errorf("heap: page index %d out of range [0,%d)", idx, f.pages)
 	}
-	data, at, err := f.dev.ReadPage(f.startLBA+idx, ready)
+	lba := f.startLBA + idx
+	data, at, err := f.dev.ReadPage(lba, ready)
 	if err != nil {
 		return nil, 0, err
 	}
-	r, err := page.NewReader(f.schema, data)
-	if err != nil {
+	r := page.ReaderFor(f.schema)
+	if err := r.BindStored(f.dev, lba, data); err != nil {
 		return nil, 0, err
 	}
 	return r, at, nil

@@ -179,9 +179,14 @@ type Array struct {
 	// writeFrontier tracks the next in-order programmable page per block.
 	writeFrontier []int
 	eraseCount    []int64 // per block, for wear accounting
-	reads         int64
-	programs      int64
-	erases        int64
+	// checked holds one bit per PPA: set once the page's current
+	// contents passed a reader's checksum, cleared when Program or
+	// Erase replaces them. Sharers of a copy-on-write slice set bits
+	// concurrently, so every access is atomic.
+	checked  []atomic.Uint64
+	reads    int64
+	programs int64
+	erases   int64
 	// Cumulative cell-operation time at the array's Timing, for the
 	// metrics layer. This mirrors what the controller charges against
 	// its schedulers; the array itself still performs no timing.
@@ -210,6 +215,7 @@ func NewArray(geo Geometry, timing Timing) (*Array, error) {
 		state:         make([]PageState, n),
 		writeFrontier: make([]int, geo.TotalBlocks()),
 		eraseCount:    make([]int64, geo.TotalBlocks()),
+		checked:       make([]atomic.Uint64, (n+63)/64),
 	}, nil
 }
 
@@ -240,6 +246,7 @@ func (a *Array) Clone() *Array {
 		state:         a.state,
 		writeFrontier: a.writeFrontier,
 		eraseCount:    a.eraseCount,
+		checked:       a.checked,
 		reads:         a.reads,
 		programs:      a.programs,
 		erases:        a.erases,
@@ -263,6 +270,11 @@ func (a *Array) privatize() {
 	a.state = append([]PageState(nil), a.state...)
 	a.writeFrontier = append([]int(nil), a.writeFrontier...)
 	a.eraseCount = append([]int64(nil), a.eraseCount...)
+	checked := make([]atomic.Uint64, len(a.checked))
+	for i := range checked {
+		checked[i].Store(a.checked[i].Load())
+	}
+	a.checked = checked
 	a.cow.Store(false)
 }
 
@@ -318,6 +330,7 @@ func (a *Array) Program(p PPA, data []byte) error {
 			ErrProgramOrder, p, inBlock, b, a.writeFrontier[b])
 	}
 	a.privatize()
+	a.setChecked(p, false)
 	if a.inj.ProgramFail() {
 		// A failed program still consumes the page slot: the cells are
 		// in an indeterminate state and may not be reprogrammed until
@@ -358,12 +371,67 @@ func (a *Array) Erase(b BlockID) error {
 		p := first + PPA(i)
 		a.state[p] = Erased
 		a.data[p] = nil // release memory for simulation thrift
+		a.setChecked(p, false)
 	}
 	a.writeFrontier[b] = 0
 	a.eraseCount[b]++
 	a.erases++
 	a.eraseTime += a.timing.EraseLatency
 	return nil
+}
+
+// Discard drops the stored bytes of page p once the FTL no longer maps
+// it. Real flash keeps them until the block is erased, but nothing
+// reads a page no logical address maps, so the simulator releases the
+// memory now: without this, every overwrite would keep its old page
+// alive until garbage collection, which a roomy device may never run.
+// The page stays Programmed until Erase.
+func (a *Array) Discard(p PPA) {
+	if a.checkPPA(p) != nil || a.data[p] == nil {
+		return
+	}
+	a.privatize()
+	a.data[p] = nil
+	a.setChecked(p, false)
+}
+
+// Checked reports whether buf is the page stored at p and has been
+// marked checked since p was last programmed. A stored page is never
+// modified in place, so a checksum that passed once holds until then.
+func (a *Array) Checked(p PPA, buf []byte) bool {
+	return a.holds(p, buf) && a.checked[p>>6].Load()&(1<<(p&63)) != 0
+}
+
+// MarkChecked records that buf, the page stored at p, passed its
+// checksum. It does nothing when buf is not what p stores.
+func (a *Array) MarkChecked(p PPA, buf []byte) {
+	if a.holds(p, buf) {
+		a.setChecked(p, true)
+	}
+}
+
+// holds reports whether buf is page p's stored buffer itself.
+func (a *Array) holds(p PPA, buf []byte) bool {
+	if p < 0 || int64(p) >= a.geo.TotalPages() {
+		return false
+	}
+	d := a.data[p]
+	return len(d) > 0 && len(buf) == len(d) && &d[0] == &buf[0]
+}
+
+// setChecked sets or clears p's checked bit.
+func (a *Array) setChecked(p PPA, on bool) {
+	w, bit := &a.checked[p>>6], uint64(1)<<(p&63)
+	for {
+		old := w.Load()
+		v := old &^ bit
+		if on {
+			v = old | bit
+		}
+		if v == old || w.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // State reports the lifecycle state of page p.

@@ -230,7 +230,38 @@ func ReaderFor(s *schema.Schema) *Reader { return &Reader{schema: s} }
 
 // Bind points an existing Reader at a new page buffer, validating it.
 // Reusing a Reader across the pages of a scan avoids per-page allocation.
-func (r *Reader) Bind(buf []byte) error {
+func (r *Reader) Bind(buf []byte) error { return r.bind(buf, true) }
+
+// A CheckMemo is a device's record of which stored pages have passed
+// their checksum since they were last written. *ssd.Device and
+// *hdd.Device implement it: their stored page buffers are never
+// modified in place, so a pass holds until the page is written again.
+type CheckMemo interface {
+	// Checked reports whether buf is the page stored at lba and has
+	// passed its checksum since it was written.
+	Checked(lba int64, buf []byte) bool
+	// MarkChecked records that buf, the page stored at lba, passed.
+	MarkChecked(lba int64, buf []byte)
+}
+
+// BindStored is Bind for buf, the page m stores at lba, as a scan read
+// it: the checksum is computed only when m has no record of the page
+// passing it since it was written, and a pass is recorded. Every other
+// check runs on every bind, since it depends on the reader's schema.
+func (r *Reader) BindStored(m CheckMemo, lba int64, buf []byte) error {
+	if m.Checked(lba, buf) {
+		return r.bind(buf, false)
+	}
+	if err := r.bind(buf, true); err != nil {
+		return err
+	}
+	m.MarkChecked(lba, buf)
+	return nil
+}
+
+// bind validates buf and points r at it, verifying the checksum when
+// crc is set.
+func (r *Reader) bind(buf []byte, crc bool) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("%w: %d bytes", ErrBadSize, len(buf))
 	}
@@ -249,12 +280,14 @@ func (r *Reader) Bind(buf []byte) error {
 	// CRC field zeroed, so feed the zeros from a scratch word instead of
 	// writing them into the page. Page buffers alias device storage that
 	// concurrent readers (engine clones) may share; Bind must not write.
-	stored := binary.LittleEndian.Uint32(buf[offCRC:])
-	sum := crc32.Checksum(buf[:offCRC], crcTable)
-	sum = crc32.Update(sum, crcTable, zeroCRC[:])
-	sum = crc32.Update(sum, crcTable, buf[offCRC+4:])
-	if sum != stored {
-		return fmt.Errorf("%w: stored %#x computed %#x", ErrBadChecksum, stored, sum)
+	if crc {
+		stored := binary.LittleEndian.Uint32(buf[offCRC:])
+		sum := crc32.Checksum(buf[:offCRC], crcTable)
+		sum = crc32.Update(sum, crcTable, zeroCRC[:])
+		sum = crc32.Update(sum, crcTable, buf[offCRC+4:])
+		if sum != stored {
+			return fmt.Errorf("%w: stored %#x computed %#x", ErrBadChecksum, stored, sum)
+		}
 	}
 	// A checksum only proves the page is what was written; check that
 	// what was written can be decoded, so no accessor reads outside buf.
@@ -408,6 +441,47 @@ func (r *Reader) Int64ColumnInto(col int, dst []int64) []int64 {
 	return dst
 }
 
+// Int64ColumnAt decodes column col of each tuple in rows, ascending
+// indexes below Count, into dst[row], leaving dst's other elements as
+// they were: Int64ColumnInto restricted to a selection, so a scan
+// decodes only the rows still selected. dst must hold Count elements.
+// It panics if the column is a Char column.
+func (r *Reader) Int64ColumnAt(col int, rows []int32, dst []int64) {
+	c := r.schema.Column(col)
+	if c.Kind == schema.Char {
+		panic(fmt.Sprintf("page: Int64ColumnAt on CHAR column %q", c.Name))
+	}
+	dst = dst[:r.count]
+	switch r.layout {
+	case NSM:
+		fieldOff := r.schema.Offset(col)
+		if c.Kind == schema.Int64 {
+			for _, i := range rows {
+				off := r.nsmTupleOffset(int(i)) + fieldOff
+				dst[i] = int64(binary.LittleEndian.Uint64(r.buf[off:]))
+			}
+		} else {
+			for _, i := range rows {
+				off := r.nsmTupleOffset(int(i)) + fieldOff
+				dst[i] = int64(int32(binary.LittleEndian.Uint32(r.buf[off:])))
+			}
+		}
+	default: // PAX
+		base := paxMinipageOffset(r.schema, r.capacity, col)
+		if c.Kind == schema.Int64 {
+			mp := r.buf[base : base+8*r.count]
+			for _, i := range rows {
+				dst[i] = int64(binary.LittleEndian.Uint64(mp[8*int(i):]))
+			}
+		} else {
+			mp := r.buf[base : base+4*r.count]
+			for _, i := range rows {
+				dst[i] = int64(int32(binary.LittleEndian.Uint32(mp[4*int(i):])))
+			}
+		}
+	}
+}
+
 // BytesColumnInto bulk-decodes Char column col of every tuple into dst
 // (grown as needed) and returns dst[:Count]. The element slices alias
 // the page buffer, exactly like Column; callers retaining them past the
@@ -494,13 +568,14 @@ func ReplaceTuple(s *schema.Schema, buf []byte, i int, tuple []byte) error {
 }
 
 // Columns decodes chosen columns of a table's pages into one
-// schema.Batch, refilled in place page after page: numeric columns as
-// []int64, CHAR columns as [][]byte aliasing the page. Its vectors are
-// carved once, at page capacity, from an arena.
+// schema.Batch, refilled in place page after page: CHAR columns as
+// [][]byte aliasing the page, decoded with each page, and numeric
+// columns as []int64, decoded on demand (see schema.Batch) at the rows
+// a kernel reads. Its vectors are carved once, at page capacity, from
+// an arena.
 type Columns struct {
 	Batch    *schema.Batch
-	ints     []int
-	intVecs  [][]int64
+	r        *Reader // the page of the last Decode
 	chars    []int
 	charVecs [][][]byte
 	all      []int32
@@ -519,22 +594,19 @@ func NewColumns(s *schema.Schema, l Layout, cols []int, arena *schema.TupleArena
 			c.Batch.SetBytesVec(col, vec)
 			c.chars, c.charVecs = append(c.chars, col), append(c.charVecs, vec)
 		default:
-			vec := arena.Ints(capacity)
-			c.Batch.SetInt64Vec(col, vec)
-			c.ints, c.intVecs = append(c.ints, col), append(c.intVecs, vec)
+			c.Batch.SetInt64Vec(col, arena.Ints(capacity))
 		}
 	}
+	c.Batch.SetDecoder(c)
 	return c
 }
 
-// Decode decodes the planned columns of the bound page r into the
-// batch and reports the selection of all its rows, valid until the
-// next Decode.
+// Decode makes the bound page r the batch's rows, decodes its CHAR
+// columns, and reports the selection of all its rows, valid until the
+// next Decode. r must stay bound to the page while the batch is read.
 func (c *Columns) Decode(r *Reader) []int32 {
+	c.r = r
 	c.Batch.SetLen(r.Count())
-	for k, col := range c.ints {
-		r.Int64ColumnInto(col, c.intVecs[k])
-	}
 	for k, col := range c.chars {
 		r.BytesColumnInto(col, c.charVecs[k])
 	}
@@ -543,4 +615,14 @@ func (c *Columns) Decode(r *Reader) []int32 {
 		sel[i] = int32(i)
 	}
 	return sel
+}
+
+// DecodeInt64 implements schema.Decoder over the page of the last
+// Decode.
+func (c *Columns) DecodeInt64(col int, rows []int32, vec []int64) {
+	if rows == nil {
+		c.r.Int64ColumnInto(col, vec)
+		return
+	}
+	c.r.Int64ColumnAt(col, rows, vec)
 }

@@ -335,7 +335,7 @@ func (l *KeyLayout) PackBatch(dst []uint64, b *Batch, sel []int32) {
 				dst[k*w+wi] |= charWord(vec[r], n) << s
 			}
 		default:
-			vec := b.Int64Vec(c)
+			vec := b.Int64At(c, sel)
 			mask := uint64(1)<<(8*n) - 1 // all ones when n is 8
 			for k, r := range sel {
 				dst[k*w+wi] |= (uint64(vec[r]) & mask) << s

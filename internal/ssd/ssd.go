@@ -298,6 +298,15 @@ func (d *Device) FetchPage(lba int64, ready time.Duration) ([]byte, time.Duratio
 	return data, dmaDone, nil
 }
 
+// Checked reports whether buf is the page stored at lba and has passed
+// its checksum since flash last programmed it. The record is the NAND
+// array's, one bit per physical page, shared by the device's clones.
+func (d *Device) Checked(lba int64, buf []byte) bool { return d.ftl.Checked(ftl.LBA(lba), buf) }
+
+// MarkChecked records that buf, the page stored at lba, passed its
+// checksum.
+func (d *Device) MarkChecked(lba int64, buf []byte) { d.ftl.MarkChecked(ftl.LBA(lba), buf) }
+
 // ShipToHost charges the host link for moving n bytes of device-resident
 // data (a read payload or a Smart SSD result batch) to the host, and
 // reports the arrival time. Command overhead is added to the ready time,
@@ -346,16 +355,21 @@ func (d *Device) ReadRange(start, count int64, ready time.Duration, fn func(lba 
 	const queueDepth = 4
 	var arriveRing [queueDepth]time.Duration
 	batch := int64(0)
+	// One I/O unit's pages wait in staging until the unit arrives.
+	type staged struct {
+		lba  int64
+		data []byte
+	}
+	var staging []staged
 	for off := int64(0); off < count; off += unit {
 		n := unit
 		if off+n > count {
 			n = count - off
 		}
-		type staged struct {
-			lba  int64
-			data []byte
+		if staging == nil {
+			staging = make([]staged, 0, n)
 		}
-		staging := make([]staged, 0, n)
+		staging = staging[:0]
 		issue := ready
 		if paced := arriveRing[batch%queueDepth]; paced > issue {
 			issue = paced

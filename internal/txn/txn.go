@@ -56,6 +56,8 @@ type SetClause struct {
 type Device interface {
 	ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration, error)
 	WritePage(lba int64, data []byte, ready time.Duration) (time.Duration, error)
+	// The update scan checksums each stored page once per write.
+	page.CheckMemo
 }
 
 // Table describes one updatable table to the transaction manager.
@@ -216,7 +218,7 @@ func (t *Txn) Update(table string, filter expr.Expr, sets []SetClause) (int64, e
 		if err != nil {
 			return updated, err
 		}
-		if err = r.Bind(data); err != nil {
+		if err = r.BindStored(tab.Dev, tab.StartLBA+idx, data); err != nil {
 			err = fmt.Errorf("txn: Update: page %d: %w", idx, err)
 		} else if sel := match.rows(); len(sel) > 0 {
 			if builder == nil {

@@ -46,6 +46,10 @@ func (d *memDev) ReadPage(lba int64, ready time.Duration) ([]byte, time.Duration
 	return append([]byte(nil), p...), ready, nil
 }
 
+// memDev keeps no checksum record: every bind verifies.
+func (d *memDev) Checked(int64, []byte) bool { return false }
+func (d *memDev) MarkChecked(int64, []byte)  {}
+
 func (d *memDev) WritePage(lba int64, data []byte, ready time.Duration) (time.Duration, error) {
 	if len(data) != d.pageSize {
 		return ready, fmt.Errorf("memdev: write %d bytes, page is %d", len(data), d.pageSize)
