@@ -397,9 +397,9 @@ func colConstSel(col int, op CmpOp, c int64) selKernel {
 // to c by op and reports them, one loop per operator. Each loop writes
 // every candidate row and advances past it by the comparison's result,
 // so how many rows survive never steers a branch. The loops live in a
-// small function of their own: inlined into compileSel's closure, they
-// once sat in a function too big for the compiler to inline b2i into,
-// and a call per row cost more than the branch it replaced.
+// small function of their own, where the compiler inlines b2i; in
+// compileSel's closure it does not, and a call per row costs more
+// than the branch it replaces.
 func selectConst(op CmpOp, vec []int64, sel, out []int32, c int64) []int32 {
 	n := 0
 	switch op {

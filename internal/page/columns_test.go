@@ -29,7 +29,7 @@ func TestLazyDecodeMatchesEagerProperty(t *testing.T) {
 		pages := randomPages(rng, s, layout)
 		nums := numericColumns(s)
 		pred := randomPredicate(rng, s, nums, 3)
-		val := randomValue(rng, nums, 2)
+		val := randomValue(rng, s, nums, 2)
 		name := fmt.Sprintf("trial %d: %v %v, WHERE %s, SELECT %s", trial, layout, s, pred, val)
 
 		all := make([]int, s.NumColumns())
@@ -210,7 +210,7 @@ func randomPredicate(rng *rand.Rand, s *schema.Schema, nums []int, depth int) ex
 		case 1:
 			return expr.Cmp{Op: op(), L: pick(), R: pick()}
 		default:
-			return expr.Cmp{Op: op(), L: randomValue(rng, nums, 1), R: constant(rng)}
+			return expr.Cmp{Op: op(), L: randomValue(rng, s, nums, 1), R: constant(rng)}
 		}
 	}
 	switch rng.Intn(5) {
@@ -230,13 +230,12 @@ func randomPredicate(rng *rand.Rand, s *schema.Schema, nums []int, depth int) ex
 }
 
 // randomValue builds a numeric expression over nums.
-func randomValue(rng *rand.Rand, nums []int, depth int) expr.Expr {
+func randomValue(rng *rand.Rand, s *schema.Schema, nums []int, depth int) expr.Expr {
 	if depth == 0 || rng.Intn(3) == 0 {
 		if rng.Intn(4) == 0 {
 			return constant(rng)
 		}
-		c := nums[rng.Intn(len(nums))]
-		return expr.Col{Index: c, Name: fmt.Sprint("c", c), K: schema.Int64}
+		return col(s, nums[rng.Intn(len(nums))])
 	}
-	return expr.Arith{Op: expr.ArithOp(rng.Intn(4)), L: randomValue(rng, nums, depth-1), R: randomValue(rng, nums, depth-1)}
+	return expr.Arith{Op: expr.ArithOp(rng.Intn(4)), L: randomValue(rng, s, nums, depth-1), R: randomValue(rng, s, nums, depth-1)}
 }
